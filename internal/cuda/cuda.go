@@ -56,8 +56,9 @@ type Runtime struct {
 	capturing *Graph
 }
 
-// NewRuntime creates a runtime for the platform, recording into b.
-// tid identifies the host dispatch thread in emitted events.
+// NewRuntime creates a runtime for the platform, recording into b; a
+// nil b discards the events without changing any timing. tid
+// identifies the host dispatch thread in emitted events.
 func NewRuntime(p *hw.Platform, b *trace.Builder, tid int) *Runtime {
 	return &Runtime{
 		Platform: p,

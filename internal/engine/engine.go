@@ -138,8 +138,7 @@ type Result struct {
 	CPUIdle sim.Time
 }
 
-// Run simulates one prefill iteration of the request and returns timing
-// plus the trace.
+// validate checks that the request names a valid platform and a model.
 func (r Request) validate() error {
 	if r.Platform == nil || r.Model == nil {
 		return fmt.Errorf("engine: request needs a platform and a model")
@@ -150,17 +149,13 @@ func (r Request) validate() error {
 	return nil
 }
 
-// Run executes the request.
+// Run simulates one prefill iteration of the request and returns timing
+// plus the trace.
 func Run(req Request) (*Result, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
-	attn := models.AttnEager
-	switch req.Mode {
-	case Flash, CompileMaxAutotune:
-		attn = models.AttnFlash
-	}
-	graph, err := models.BuildPrefill(req.Model, req.Batch, req.Seq, attn)
+	graph, err := models.BuildPrefill(req.Model, req.Batch, req.Seq, attention(req.Mode))
 	if err != nil {
 		return nil, err
 	}
@@ -171,18 +166,9 @@ func Run(req Request) (*Result, error) {
 	b.Meta("mode", req.Mode.String())
 	b.Meta("batch", fmt.Sprintf("%d", req.Batch))
 	b.Meta("seq", fmt.Sprintf("%d", req.Seq))
-	rt := cuda.NewRuntime(req.Platform, b, mainThreadTID)
-
-	ex := &executor{req: req, rt: rt, builder: b}
-	switch req.Mode {
-	case Eager, Flash:
-		ex.runEager(graph)
-	case CompileDefault:
-		ex.runCompiledEagerHost(graph)
-	case CompileReduceOverhead, CompileMaxAutotune:
-		ex.runGraphReplay(graph)
-	default:
-		return nil, fmt.Errorf("engine: unknown mode %v", req.Mode)
+	ex := &executor{req: req, rt: cuda.NewRuntime(req.Platform, b, mainThreadTID), builder: b}
+	if err := ex.runPrefill(graph); err != nil {
+		return nil, err
 	}
 
 	tr := b.Trace()
@@ -192,14 +178,42 @@ func Run(req Request) (*Result, error) {
 		Trace:        tr,
 		TTFT:         end - start,
 		CompileTime:  compileTime(req),
-		HostLaunches: rt.Launches(),
+		HostLaunches: ex.rt.Launches(),
 		KernelCount:  len(tr.Kernels()),
-		GPUBusy:      rt.GPUBusy(),
+		GPUBusy:      ex.rt.GPUBusy(),
 		CPUBusy:      ex.cpuBusy,
 	}
 	res.GPUIdle = res.TTFT - res.GPUBusy
 	res.CPUIdle = res.TTFT - res.CPUBusy
 	return res, nil
+}
+
+// attention is the attention implementation the mode's graphs use:
+// fused for the flash and max-autotune modes, eager otherwise.
+func attention(mode Mode) models.AttnImpl {
+	switch mode {
+	case Flash, CompileMaxAutotune:
+		return models.AttnFlash
+	}
+	return models.AttnEager
+}
+
+// runPrefill executes one prefill iteration of g in the request's mode.
+// The iteration starts at time 0 and every mode ends on a device
+// synchronization, so the final host clock equals the trace span Run
+// reports as TTFT.
+func (ex *executor) runPrefill(g *ops.Graph) error {
+	switch ex.req.Mode {
+	case Eager, Flash:
+		ex.runEager(g)
+	case CompileDefault:
+		ex.runCompiledEagerHost(g)
+	case CompileReduceOverhead, CompileMaxAutotune:
+		ex.runGraphReplay(g)
+	default:
+		return fmt.Errorf("engine: unknown mode %v", ex.req.Mode)
+	}
+	return nil
 }
 
 type executor struct {

@@ -393,29 +393,6 @@ type Stats struct {
 	KVCache *KVCacheStats `json:",omitempty"`
 }
 
-// latencyModel caches per-batch-size prefill latency from the engine:
-// the legacy serving layer treats the device as busy for TTFT(batch)
-// per batch.
-type latencyModel struct {
-	cfg   *Config
-	cache map[int]sim.Time
-}
-
-func (lm *latencyModel) ttft(batch int) (sim.Time, error) {
-	if t, ok := lm.cache[batch]; ok {
-		return t, nil
-	}
-	res, err := engine.Run(engine.Request{
-		Platform: lm.cfg.Platform, Model: lm.cfg.Model,
-		Batch: int64(batch), Seq: lm.cfg.Seq, Mode: lm.cfg.Mode,
-	})
-	if err != nil {
-		return 0, err
-	}
-	lm.cache[batch] = res.TTFT
-	return res.TTFT, nil
-}
-
 // Simulate runs the server over the request stream (sorted by arrival)
 // and returns latency statistics. Legacy policies use a deterministic
 // event walk where the device serves one batch at a time; continuous
@@ -435,7 +412,12 @@ func Simulate(cfg Config, requests []Request) (*Stats, error) {
 		return simulateContinuous(cfg, reqs)
 	}
 
-	lm := &latencyModel{cfg: &cfg, cache: make(map[int]sim.Time)}
+	// The legacy layer treats the device as busy for TTFT(batch) per
+	// batch. A bucket of 1 keeps the prompt length exact.
+	sm, err := engine.NewStepModel(cfg.Platform, cfg.Model, cfg.Mode, 1)
+	if err != nil {
+		return nil, err
+	}
 	stats := &Stats{Requests: len(reqs)}
 	latencies := make([]sim.Time, 0, len(reqs))
 
@@ -486,7 +468,7 @@ func Simulate(cfg Config, requests []Request) (*Stats, error) {
 			}
 		}
 
-		dur, err := lm.ttft(batch)
+		dur, err := sm.Prefill(int64(batch), cfg.Seq)
 		if err != nil {
 			return nil, err
 		}

@@ -40,8 +40,13 @@ func sweepBase(t *testing.T) *Spec {
 // produce a JSON report byte-identical to the same sweep run with one
 // worker (i.e. serially). The worker count is forced above one — the
 // default pool is sized by NumCPU and would degenerate to serial on a
-// single-core machine. Run under -race in CI, this also proves the
-// pool shares no mutable state between points.
+// single-core machine. The points share one piece of mutable state,
+// the mutex-guarded process-wide latency registry behind
+// engine.StepModel. The parallel run goes first, so its workers fill
+// that registry concurrently for every key no earlier test computed,
+// and the serial run then reads it warm: the test compares a
+// cold-registry parallel run against a warm serial one. Run under
+// -race in CI, it also checks that the registry's locking holds.
 func TestSweepParallelDeterminism(t *testing.T) {
 	s := sweepBase(t)
 	s.Sweep = &SweepSpec{Field: "workload.rate_per_sec", Values: []any{2.0, 8.0, 16.0, 24.0, 32.0, 40.0}}
