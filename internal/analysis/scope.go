@@ -34,7 +34,6 @@ var DefaultScopes = map[string][]string{
 	"maprange": {
 		"github.com/skipsim/skip/internal/serve",
 		"github.com/skipsim/skip/internal/cluster",
-		"github.com/skipsim/skip/internal/disagg",
 		"github.com/skipsim/skip/internal/spec",
 		"github.com/skipsim/skip/internal/metrics",
 		"github.com/skipsim/skip/internal/trace",

@@ -9,7 +9,7 @@ import (
 )
 
 // The autoscale controller: a periodic feedback loop on the shared
-// calendar that grows the fleet when a load signal runs hot and drains
+// calendar that grows one pool when a load signal runs hot and drains
 // it when the signal runs cold. Growth is not instantaneous — a spun-up
 // instance joins after a per-platform spin-up delay (model load, KV
 // allocation; longer on loosely-coupled hosts whose weights cross PCIe)
@@ -22,16 +22,16 @@ type ScaleSignal int
 
 const (
 	// SignalQueueDepth tracks mean outstanding requests (queued +
-	// running) per active instance: grow above Target, shrink below
-	// Target/2.
+	// running) per active instance of the scaled pool: grow above
+	// Target, shrink below Target/2.
 	SignalQueueDepth ScaleSignal = iota
 	// SignalSLOAttainment tracks the rolling fraction of recent first
 	// tokens meeting the TTFT SLO, pooled across instances: grow below
 	// Target, shrink at or above the midpoint between Target and 1.
 	SignalSLOAttainment
-	// SignalTransferQueue tracks mean queued KV transfers per
-	// interconnect link (disaggregated fleets only): grow above Target,
-	// shrink below Target/2.
+	// SignalTransferQueue tracks mean queued KV transfers per active
+	// decode-capable instance (disaggregated fleets only): grow above
+	// Target, shrink below Target/2.
 	SignalTransferQueue
 )
 
@@ -72,10 +72,10 @@ type AutoscaleConfig struct {
 	// instance (queue-depth), attainment fraction in (0,1]
 	// (slo-attainment), or queued transfers per link (transfer-queue).
 	Target float64
-	// Min / Max bound the active-instance count. Shrinks only ever
-	// drain instances the controller itself added, so the configured
-	// base fleet is a floor regardless of Min; Max caps active plus
-	// pending joins.
+	// Min / Max bound the scaled pool's active-instance count. Shrinks
+	// only ever drain instances the controller itself added, so the
+	// configured base fleet is a floor regardless of Min; Max caps
+	// active plus pending joins.
 	Min, Max int
 	// Interval is the controller period (default 1s).
 	Interval sim.Time
@@ -142,21 +142,57 @@ func (a *AutoscaleConfig) sloWindow() int {
 	return 50
 }
 
-// Resolve returns the controller knobs with defaults applied — the
-// values the tick loop actually runs on. Shared with the disaggregated
-// fleet's controller so both apply identical defaults.
-func (a *AutoscaleConfig) Resolve() (interval, cooldown, spinUp sim.Time, window int) {
-	return a.interval(), a.cooldown(), a.spinUp(), a.sloWindow()
+// inPool reports whether a member serves a role's pool (RoleBoth
+// members serve both; RoleBoth as the pool means the whole fleet).
+func inPool(m member, role Role) bool {
+	switch role {
+	case RolePrefill:
+		return m.role != RoleDecode
+	case RoleDecode:
+		return m.role != RolePrefill
+	default:
+		return true
+	}
+}
+
+// active counts accepting members of a role's pool.
+func (f *fleet) active(role Role) int {
+	n := 0
+	for _, m := range f.members {
+		if inPool(m, role) && m.in.Accepting() {
+			n++
+		}
+	}
+	return n
+}
+
+// outstanding sums queued plus running requests over a role's pool,
+// draining members included.
+func (f *fleet) outstanding(role Role) int {
+	n := 0
+	for _, m := range f.members {
+		if inPool(m, role) && m.in.State() != serve.StateStopped {
+			n += m.in.Outstanding()
+		}
+	}
+	return n
+}
+
+// sampleFleet records the active-member count in the churn ledger's
+// fleet-size series (called at every membership transition).
+func (f *fleet) sampleFleet(now sim.Time) {
+	act := f.active(RoleBoth)
+	if act > f.chaos.PeakActive {
+		f.chaos.PeakActive = act
+	}
+	f.chaos.FleetSize = append(f.chaos.FleetSize, serve.SamplePoint{T: now, V: float64(act)})
 }
 
 // setupAutoscale validates the template eagerly (a broken template must
 // fail the run at setup, not mid-simulation at first spin-up) and arms
 // the first controller tick.
-func (f *fleetSim) setupAutoscale() error {
+func (f *fleet) setupAutoscale() error {
 	a := f.cfg.Autoscale
-	if a.Signal == SignalTransferQueue {
-		return fmt.Errorf("cluster: the transfer-queue signal applies to disaggregated fleets only")
-	}
 	if _, err := serve.NewInstance("autoscale-template", a.Template, sim.NewCalendar()); err != nil {
 		return fmt.Errorf("cluster: autoscale template: %w", err)
 	}
@@ -166,33 +202,36 @@ func (f *fleetSim) setupAutoscale() error {
 
 // scaleTick is one controller period: evaluate the signal (unless
 // cooling down), act, and re-arm while the simulation still has work —
-// the tick chain ends with the workload, so the calendar drains.
-func (f *fleetSim) scaleTick(now sim.Time) {
-	if f.routeErr != nil {
+// pending KV transfers included, so the tick chain ends with the
+// workload, never abandons a cache on the wire, and the calendar
+// drains.
+func (f *fleet) scaleTick(now sim.Time) {
+	if f.err != nil {
 		return
 	}
 	a := f.cfg.Autoscale
 	if !f.scaled || now-f.lastScale >= a.cooldown() {
 		f.scaleDecide(now)
 	}
-	if now < f.lastArrival || f.outstanding() > 0 || f.pendingJoins > 0 {
+	if now < f.lastArrival || f.outstanding(RoleBoth) > 0 || f.pendingJoins > 0 || f.pendingTransfers > 0 {
 		f.cal.Schedule(now+a.interval(), f.scaleTick)
 	}
 }
 
 // scaleDecide evaluates the signal against its setpoint with hysteresis
 // (the grow and shrink thresholds are separated so the controller does
-// not oscillate around Target) and triggers at most one action.
-func (f *fleetSim) scaleDecide(now sim.Time) {
+// not oscillate around Target) and triggers at most one action on the
+// scaled pool.
+func (f *fleet) scaleDecide(now sim.Time) {
 	a := f.cfg.Autoscale
 	var grow, shrink bool
 	switch a.Signal {
 	case SignalSLOAttainment:
 		met, total := 0, 0
-		for _, in := range f.members {
-			if in.State() != serve.StateStopped {
-				m, t := in.SLOWindow(a.sloWindow())
-				met, total = met+m, total+t
+		for _, m := range f.members {
+			if m.in.State() != serve.StateStopped {
+				mm, t := m.in.SLOWindow(a.sloWindow())
+				met, total = met+mm, total+t
 			}
 		}
 		if total == 0 {
@@ -201,13 +240,25 @@ func (f *fleetSim) scaleDecide(now sim.Time) {
 		att := float64(met) / float64(total)
 		grow = att < a.Target
 		shrink = att >= (1+a.Target)/2
-	default: // SignalQueueDepth
-		act := f.activeCount()
+	case SignalTransferQueue:
+		// Transfer pressure starves decode capacity: the signal is
+		// caches on the wire (or queued for it) per active
+		// decode-capable instance, whichever pool the controller scales.
+		act := f.active(RoleDecode)
 		if act == 0 {
 			grow = true
 			break
 		}
-		depth := float64(f.outstanding()) / float64(act)
+		depth := float64(f.pendingTransfers) / float64(act)
+		grow = depth > a.Target
+		shrink = depth < a.Target/2
+	default: // SignalQueueDepth over the scaled pool
+		act := f.active(f.cfg.AutoscaleRole)
+		if act == 0 {
+			grow = true
+			break
+		}
+		depth := float64(f.outstanding(f.cfg.AutoscaleRole)) / float64(act)
 		grow = depth > a.Target
 		shrink = depth < a.Target/2
 	}
@@ -220,9 +271,9 @@ func (f *fleetSim) scaleDecide(now sim.Time) {
 }
 
 // grow schedules one instance join after the spin-up delay.
-func (f *fleetSim) grow(now sim.Time) {
+func (f *fleet) grow(now sim.Time) {
 	a := f.cfg.Autoscale
-	if f.activeCount()+f.pendingJoins >= a.Max {
+	if f.active(f.cfg.AutoscaleRole)+f.pendingJoins >= a.Max {
 		return
 	}
 	f.pendingJoins++
@@ -230,13 +281,13 @@ func (f *fleetSim) grow(now sim.Time) {
 	f.cal.Schedule(now+a.spinUp(), f.join)
 }
 
-// join lands a spun-up instance in the running fleet.
-func (f *fleetSim) join(now sim.Time) {
+// join lands a spun-up instance in the scaled pool.
+func (f *fleet) join(now sim.Time) {
 	f.pendingJoins--
-	if f.routeErr != nil {
+	if f.err != nil {
 		return
 	}
-	in, err := f.addInstance(f.cfg.Autoscale.Template, true)
+	in, err := f.addMember(f.cfg.Autoscale.Template, f.cfg.AutoscaleRole, true)
 	if err != nil {
 		f.fail(fmt.Errorf("cluster: autoscale join: %w", err))
 		return
@@ -246,20 +297,20 @@ func (f *fleetSim) join(now sim.Time) {
 	f.sampleFleet(now)
 }
 
-// shrink drains the highest-index active instance the controller added.
-// The base fleet is never drained, and the last active instance never
-// leaves.
-func (f *fleetSim) shrink(now sim.Time) {
+// shrink drains the highest-index accepting instance the controller
+// added. The base fleet is never drained, and the scaled pool's last
+// active member never leaves.
+func (f *fleet) shrink(now sim.Time) {
 	a := f.cfg.Autoscale
-	act := f.activeCount()
+	act := f.active(f.cfg.AutoscaleRole)
 	if act <= 1 || act <= a.Min {
 		return
 	}
 	for i := len(f.members) - 1; i >= 0; i-- {
-		if f.managed[i] && f.members[i].Accepting() {
+		if f.members[i].managed && f.members[i].in.Accepting() {
 			f.lastScale, f.scaled = now, true
 			f.chaos.Drains++
-			f.members[i].Drain(now) // emits drain-start via the stamped observer
+			f.members[i].in.Drain(now) // emits drain-start via the stamped observer
 			f.sampleFleet(now)
 			return
 		}

@@ -277,3 +277,69 @@ func TestFaultTargetNoOps(t *testing.T) {
 			st.Completed, st.Abandoned, c.Dropped, st.Routed)
 	}
 }
+
+// TestFaultsConfigValidate walks the fault plan's failure modes; links
+// reports whether the hosting fleet has transfer links to degrade.
+func TestFaultsConfigValidate(t *testing.T) {
+	link := func(src, dst int) []Fault {
+		return []Fault{{Kind: FaultLinkDegrade, Target: src, Dst: dst, Factor: 2}}
+	}
+	cases := []struct {
+		name  string
+		fc    FaultsConfig
+		links bool
+		ok    bool
+	}{
+		{"crash plan", FaultsConfig{Faults: []Fault{{Kind: FaultCrash}}, CrashRatePerSec: 1}, false, true},
+		{"negative crash rate", FaultsConfig{CrashRatePerSec: -1}, false, false},
+		{"negative time", FaultsConfig{Faults: []Fault{{At: -1}}}, false, false},
+		{"negative target", FaultsConfig{Faults: []Fault{{Target: -1}}}, false, false},
+		{"slow-node factor below one", FaultsConfig{Faults: []Fault{{Kind: FaultSlowNode, Factor: 0.5}}}, false, false},
+		{"unknown kind", FaultsConfig{Faults: []Fault{{Kind: FaultKind(9)}}}, true, false},
+		{"link fault", FaultsConfig{Faults: link(0, 1)}, true, true},
+		{"link fault without links", FaultsConfig{Faults: link(0, 1)}, false, false},
+		{"negative link destination", FaultsConfig{Faults: link(0, -1)}, true, false},
+		{"self-link", FaultsConfig{Faults: link(1, 1)}, true, false},
+	}
+	for _, tc := range cases {
+		if err := tc.fc.Validate(tc.links); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// TestRandomCrashSurvivability pins the one survivability rule: a
+// random crash is skipped only when removing its victim would leave a
+// pool without an accepting member. A draining victim leaves the
+// accepting count unchanged, so it may crash while a single other
+// member still accepts; that last accepting member itself is spared.
+func TestRandomCrashSurvivability(t *testing.T) {
+	reqs := testLoad(t, 4, 100, 3)
+	f, err := newFleet(DisaggConfig{
+		PrefillPolicy: LeastQueue, DecodePolicy: LeastQueue,
+		Faults: &FaultsConfig{CrashRatePerSec: 0},
+	}, false, mixedFleet(), nil, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	draining := f.members[0].in
+	if err := draining.Accept(0, reqs[0]); err != nil {
+		t.Fatal(err)
+	}
+	draining.Drain(0)
+	if draining.State() != serve.StateDraining {
+		t.Fatalf("member 0 is %v, want draining", draining.State())
+	}
+	f.randomCrash(0, 0) // the draw lands on the draining member 0
+	if f.chaos.Crashes != 1 || draining.State() != serve.StateStopped {
+		t.Fatalf("draining victim spared (crashes %d, state %v) though member 1 still accepts",
+			f.chaos.Crashes, draining.State())
+	}
+	if f.chaos.Killed != 1 || f.chaos.Requeued != 1 {
+		t.Errorf("evicted request not requeued onto the survivor: %+v", f.chaos)
+	}
+	f.randomCrash(0, 0) // the only candidate left is the last accepting member
+	if f.chaos.Crashes != 1 || !f.members[1].in.Accepting() {
+		t.Errorf("the last accepting member crashed: %+v", f.chaos)
+	}
+}

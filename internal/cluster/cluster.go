@@ -1,5 +1,5 @@
 // Package cluster simulates a multi-instance inference fleet under one
-// shared clock: N continuous-batching instances (serve.Instance, each a
+// shared clock: continuous-batching instances (serve.Instance, each a
 // full iteration-level scheduler with its own KV-capacity model) behind
 // a front-end that applies token-bucket admission control and a
 // pluggable routing policy. Because every instance runs on the same
@@ -13,17 +13,36 @@
 // a mixed fleet? The routing policies range from oblivious
 // (round-robin) through load- and KV-aware to the platform-aware split
 // that encodes the paper's regime boundary directly.
+//
+// The same engine runs prefill/decode disaggregated fleets
+// (SimulateDisagg): members take a role — prefill, decode, or both —
+// and requests routed to a prefill-only member run prompt processing
+// only, then hand their KV cache to a decode-pool member over an
+// explicit transfer model priced from the platforms' interconnects
+// (see TransferModel). That operationalizes the paper's central
+// asymmetry: prefill is compute-bound, decode is
+// memory-bandwidth-bound, and splitting them (DistServe/Splitwise-
+// style) only pays if moving the KV state is cheap enough. A GH200's
+// NVLink-C2C hands a cache off at 450 GB/s through unified memory,
+// while a discrete PCIe node store-and-forwards it through host DRAM.
+//
+// One engine serves both shapes. Pools are routing views over one
+// index-stable membership: a monolithic fleet has a single pool, a
+// disaggregated one a prefill pool and a decode pool. Each
+// (source, destination) pair is a FIFO transfer link, allocated only
+// when a prefill-only member can exist. Autoscaling, fault injection,
+// crash requeue and the ledgers are written once, and every run
+// reconciles its request, handoff, churn and cache ledgers exactly.
 package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/skipsim/skip/internal/serve"
 	"github.com/skipsim/skip/internal/sim"
 )
 
-// Config parameterizes a cluster simulation.
+// Config parameterizes a monolithic cluster simulation.
 type Config struct {
 	// Instances holds one serving config per instance. Every config
 	// must use a continuous policy (ContinuousBatch or ChunkedPrefill);
@@ -75,171 +94,185 @@ func (c *Config) validate() error {
 			return fmt.Errorf("cluster: instance %d needs a platform", i)
 		}
 	}
-	if c.AdmitRatePerSec < 0 {
-		return fmt.Errorf("cluster: admission rate must be non-negative, got %g", c.AdmitRatePerSec)
+	return validateShared(c.AdmitRatePerSec, c.Autoscale, c.Faults, false)
+}
+
+// validateShared checks the knobs every fleet shares; split reports
+// whether the fleet has separate pools joined by transfer links.
+func validateShared(admitRate float64, a *AutoscaleConfig, fc *FaultsConfig, split bool) error {
+	if admitRate < 0 {
+		return fmt.Errorf("cluster: admission rate must be non-negative, got %g", admitRate)
 	}
-	if c.Autoscale != nil {
-		if err := c.Autoscale.Validate(); err != nil {
+	if a != nil {
+		if err := a.Validate(); err != nil {
 			return err
 		}
-	}
-	if c.Faults != nil {
-		if err := c.Faults.Validate(false); err != nil {
-			return err
+		if a.Signal == SignalTransferQueue && !split {
+			return fmt.Errorf("cluster: the transfer-queue signal applies to disaggregated fleets only")
 		}
+	}
+	if fc != nil {
+		return fc.Validate(split)
 	}
 	return nil
 }
 
-// fleetSim is one in-flight fleet simulation: the shared calendar, the
-// mutable membership view, the routing and admission state, and the
-// churn ledger. Membership is index-stable — the members slice only
-// grows (autoscale joins append) and departed instances stay in place
-// as Stopped, filtered by the router's Accepting checks — so session
-// pins, the round-robin cursor, and per-instance statistics never
-// reindex under churn.
-type fleetSim struct {
-	cfg Config
-	cal *sim.Calendar
-
-	members []*serve.Instance
-	// managed marks instances the autoscaler spun up — the only ones a
-	// shrink may drain, so the configured base fleet is never scaled
-	// away.
-	managed []bool
-
-	rt    *router
-	admit *TokenBucket
-	// rec records routing decisions for counterfactual scoring; nil
-	// when Config.CounterfactualK is zero.
-	rec *DecisionRecorder
-
-	reqs        []serve.Request
-	lastArrival sim.Time
-
-	rejected, unroutable int
-	// placed counts fresh front-door placements only. Requeues after a
-	// crash increment each instance's own routed count (keeping the
-	// per-instance settled==placed invariant) but not this one, so the
-	// front-door conservation law survives churn.
-	placed   int
-	routeErr error
-
-	// chaos is nil for a static fleet (no autoscale, no faults): the
-	// ledger then never allocates and the Report omits it, keeping
-	// static output bit-identical to the pre-refactor path.
-	chaos        *ChaosStats
-	pendingJoins int
-	lastScale    sim.Time
-	scaled       bool
+// DisaggConfig parameterizes a disaggregated fleet simulation.
+type DisaggConfig struct {
+	// Groups lists the fleet's slices with their roles. At least one
+	// prefill-capable (prefill|both) and one decode-capable
+	// (decode|both) group are required.
+	Groups []DisaggGroup
+	// Base is the serving config every instance inherits (model, policy,
+	// KV knobs, SLO) with its group's platform substituted; it must use
+	// a continuous policy.
+	Base serve.Config
+	// PrefillPolicy places fresh arrivals on the prefill pool. Like
+	// Config's Policy, the zero value is RoundRobin; the spec front
+	// door (fleet.disaggregation) defaults to least-queue instead.
+	PrefillPolicy Policy
+	// DecodePolicy places completed prefills on the decode pool. Zero
+	// value RoundRobin; the spec front door defaults to least-kv —
+	// decode placement is a KV-capacity decision.
+	DecodePolicy Policy
+	// LinkAwareDecode, when set, overrides DecodePolicy's pick with a
+	// transfer-aware one: each handoff goes to the fitting decode
+	// instance with the earliest projected landing — the (src,dst)
+	// link's FIFO backlog plus the exposed wire time for the bytes
+	// actually shipped (prefix-cached blocks excluded) — ties to the
+	// lowest KV pressure, then the lowest index. Off keeps
+	// DecodePolicy's placement bit for bit.
+	LinkAwareDecode bool
+	// ShortPrompt is the platform-aware policies' regime boundary in
+	// prompt tokens (default 512).
+	ShortPrompt int64
+	// Transfer prices the KV handoff between pools.
+	Transfer TransferModel
+	// TTFTSLO is the fleet time-to-first-token objective for goodput
+	// accounting (also copied into instance configs that set none).
+	TTFTSLO sim.Time
+	// AdmitRatePerSec / AdmitBurst enable token-bucket admission control
+	// at the front door (0 disables).
+	AdmitRatePerSec float64
+	AdmitBurst      float64
+	// Observer receives front-door events (routed, rejected,
+	// unroutable), KV-transfer events (kv-transfer-start/done with the
+	// source→destination link), and every instance's lifecycle events
+	// with the instance name stamped in.
+	Observer serve.Observer
+	// Autoscale, when set, grows and shrinks the AutoscaleRole pool
+	// against a load signal while the simulation runs; disaggregated
+	// fleets additionally support the transfer-queue signal (pending KV
+	// transfers per active decode-capable instance). Nil keeps the
+	// fleet static — the pre-refactor behavior, bit for bit.
+	Autoscale *AutoscaleConfig
+	// AutoscaleRole names the pool the controller scales. The zero value
+	// is RoleBoth (spun-up instances serve end to end); the spec front
+	// door defaults to "decode" instead — decode capacity is what
+	// transfer pressure starves.
+	AutoscaleRole Role
+	// Faults, when set, injects crashes, slow-node multipliers, and
+	// degraded-link faults (see FaultsConfig; Target and Dst index the
+	// flattened member list in group order).
+	Faults *FaultsConfig
+	// CounterfactualK, when positive, records every prefill- and
+	// decode-pool routing decision with up to K scored alternatives and
+	// counterfactual policy replays (DisaggStats.PrefillRouting /
+	// DecodeRouting). Decode records carry the chosen link's FIFO
+	// backlog at pick time. Zero keeps recording off and both sections
+	// absent.
+	CounterfactualK int
 }
 
-func (f *fleetSim) fail(err error) {
-	if f.routeErr == nil {
-		f.routeErr = err
-	}
-}
-
-// emitFleet reports a fleet-level event (join, fault, requeue) to the
-// config observer.
-func (f *fleetSim) emitFleet(e serve.Event) {
-	if f.cfg.Observer != nil {
-		f.cfg.Observer(e)
-	}
-}
-
-func (f *fleetSim) frontDoor(now sim.Time, t serve.EventType, req serve.Request, instance string) {
-	if f.cfg.Observer == nil {
-		return
-	}
-	f.cfg.Observer(serve.Event{
-		Time: now, Type: t,
-		RequestID: req.ID, SessionID: req.SessionID, Instance: instance,
-	})
-}
-
-// addInstance constructs an instance on the shared calendar and appends
-// it to the membership view.
-func (f *fleetSim) addInstance(icfg serve.Config, managed bool) (*serve.Instance, error) {
-	if icfg.TTFTSLO == 0 {
-		icfg.TTFTSLO = f.cfg.TTFTSLO
-	}
-	name := fmt.Sprintf("%s#%d", icfg.Platform.Name, len(f.members))
-	if f.cfg.Observer != nil {
-		icfg.Observer = StampInstance(name, f.cfg.Observer, icfg.Observer)
-	}
-	in, err := serve.NewInstance(name, icfg, f.cal)
-	if err != nil {
-		return nil, err
-	}
-	f.members = append(f.members, in)
-	f.managed = append(f.managed, managed)
-	return in, nil
-}
-
-// activeCount counts members still accepting fresh work.
-func (f *fleetSim) activeCount() int {
-	n := 0
-	for _, in := range f.members {
-		if in.Accepting() {
-			n++
+// transfersPossible reports whether a prefill-only member — the only
+// source of KV handoffs — can exist: a prefill group, or an autoscaler
+// that mints prefill instances mid-run.
+func (c *DisaggConfig) transfersPossible() bool {
+	for _, g := range c.Groups {
+		if g.Role == RolePrefill {
+			return true
 		}
 	}
-	return n
+	return c.Autoscale != nil && c.AutoscaleRole == RolePrefill
 }
 
-// outstanding sums queued plus running requests across the fleet,
-// draining members included.
-func (f *fleetSim) outstanding() int {
-	n := 0
-	for _, in := range f.members {
-		if in.State() != serve.StateStopped {
-			n += in.Outstanding()
+// validate checks the config; split reports whether the groups form
+// separate prefill and decode pools (SimulateDisagg) or one monolithic
+// pool (SimulateMonolithic).
+func (c *DisaggConfig) validate(split bool) error {
+	if err := c.Transfer.validate(); err != nil {
+		return err
+	}
+	if len(c.Groups) == 0 {
+		return fmt.Errorf("cluster: config needs at least one group")
+	}
+	// An all-"both" fleet never transfers and needs no priceable link.
+	transfers := split && c.transfersPossible()
+	var prefillable, decodable int
+	for i, g := range c.Groups {
+		if g.Platform == nil {
+			return fmt.Errorf("cluster: group %d needs a platform", i)
+		}
+		if g.Count <= 0 {
+			return fmt.Errorf("cluster: group %d (%s) needs a positive count, got %d", i, g.Platform.Name, g.Count)
+		}
+		if !split && g.Role != RoleBoth {
+			return fmt.Errorf("cluster: group %d: a monolithic fleet takes no %s role", i, g.Role)
+		}
+		// hw.Validate deliberately permits zero interconnect bandwidth on
+		// unified-physical-memory platforms (their CPU↔GPU transfers are
+		// free), but a KV handoff between *instances* still crosses a
+		// wire: with no override, TransferModel.Time would divide by
+		// zero and price every transfer at +Inf. Reject the fleet here,
+		// naming the platform, instead of simulating nonsense.
+		if transfers && c.Transfer.BandwidthGBps == 0 && g.Platform.IC.BandwidthGBps <= 0 {
+			return fmt.Errorf("cluster: platform %q has no interconnect bandwidth to price KV transfers (unified-memory platforms may declare zero); set Transfer.BandwidthGBps or give the platform a positive IC bandwidth", g.Platform.Name)
+		}
+		if g.Role != RolePrefill {
+			decodable += g.Count
+		}
+		if g.Role != RoleDecode {
+			prefillable += g.Count
 		}
 	}
-	return n
+	if prefillable == 0 {
+		return fmt.Errorf("cluster: fleet has no prefill-capable (prefill or both) instances")
+	}
+	if decodable == 0 {
+		return fmt.Errorf("cluster: fleet has no decode-capable (decode or both) instances")
+	}
+	if c.Base.Model == nil {
+		return fmt.Errorf("cluster: base config needs a model")
+	}
+	if err := validateShared(c.AdmitRatePerSec, c.Autoscale, c.Faults, split); err != nil {
+		return err
+	}
+	// An autoscaled instance can be a transfer endpoint too (source
+	// when scaling prefill, destination when scaling decode or both), so
+	// its platform faces the same zero-bandwidth trap as the base
+	// groups.
+	if transfers && c.Autoscale != nil && c.Transfer.BandwidthGBps == 0 && c.Autoscale.Template.Platform.IC.BandwidthGBps <= 0 {
+		return fmt.Errorf("cluster: autoscale template platform %q has no interconnect bandwidth to price KV transfers; set Transfer.BandwidthGBps or give the platform a positive IC bandwidth", c.Autoscale.Template.Platform.Name)
+	}
+	return nil
 }
 
-// sampleFleet records the active-member count in the churn ledger's
-// fleet-size series (called at every membership transition).
-func (f *fleetSim) sampleFleet(now sim.Time) {
-	act := f.activeCount()
-	if act > f.chaos.PeakActive {
-		f.chaos.PeakActive = act
+// members expands the groups over Base, in group order.
+func (c *DisaggConfig) members() ([]serve.Config, []Role) {
+	var cfgs []serve.Config
+	var roles []Role
+	for _, g := range c.Groups {
+		for k := 0; k < g.Count; k++ {
+			icfg := c.Base
+			icfg.Platform = g.Platform
+			cfgs = append(cfgs, icfg)
+			roles = append(roles, g.Role)
+		}
 	}
-	f.chaos.FleetSize = append(f.chaos.FleetSize, serve.SamplePoint{T: now, V: float64(act)})
+	return cfgs, roles
 }
 
-// route places one front-door arrival.
-func (f *fleetSim) route(now sim.Time, req serve.Request) {
-	if f.routeErr != nil {
-		return
-	}
-	if f.admit != nil && !f.admit.Allow(now) {
-		f.rejected++
-		f.frontDoor(now, serve.EventRejected, req, "")
-		return
-	}
-	idx := f.rt.pick(req, f.members)
-	if idx < 0 {
-		f.unroutable++
-		f.frontDoor(now, serve.EventUnroutable, req, "")
-		return
-	}
-	if f.rec != nil {
-		f.rec.Record(now, req, f.members, idx, false, 0)
-	}
-	f.placed++
-	f.frontDoor(now, serve.EventRouted, req, f.members[idx].Name())
-	if err := f.members[idx].Accept(now, req); err != nil {
-		// pick only offers accepting, fitting instances, so Accept
-		// cannot refuse; treat a refusal as the bug it would be.
-		f.fail(fmt.Errorf("cluster: %s refused routed request %d: %w",
-			f.members[idx].Name(), req.ID, err))
-	}
-}
-
-// Simulate runs the fleet over the request stream and returns
+// Simulate runs a monolithic fleet over the request stream and returns
 // fleet-level statistics. Requests are routed at their arrival instant
 // against the instances' live scheduler state; the whole simulation —
 // autoscaling and fault injection included — is deterministic for a
@@ -248,114 +281,80 @@ func Simulate(cfg Config, requests []serve.Request) (*Stats, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	st, err := simulate(DisaggConfig{
+		PrefillPolicy:   cfg.Policy,
+		ShortPrompt:     cfg.ShortPrompt,
+		TTFTSLO:         cfg.TTFTSLO,
+		AdmitRatePerSec: cfg.AdmitRatePerSec,
+		AdmitBurst:      cfg.AdmitBurst,
+		Observer:        cfg.Observer,
+		Autoscale:       cfg.Autoscale,
+		Faults:          cfg.Faults,
+		CounterfactualK: cfg.CounterfactualK,
+	}, false, cfg.Instances, nil, requests)
+	if err != nil {
+		return nil, err
+	}
+	return st.monolithic(), nil
+}
+
+// SimulateMonolithic runs cfg's groups, expanded over Base, as one
+// monolithic pool routed by PrefillPolicy — the fleet a spec without a
+// fleet.disaggregation section describes. Groups must carry no roles;
+// DecodePolicy, LinkAwareDecode, Transfer and AutoscaleRole do not
+// apply.
+func SimulateMonolithic(cfg DisaggConfig, requests []serve.Request) (*Stats, error) {
+	if err := cfg.validate(false); err != nil {
+		return nil, err
+	}
+	cfg.AutoscaleRole = RoleBoth
+	instances, _ := cfg.members()
+	st, err := simulate(cfg, false, instances, nil, requests)
+	if err != nil {
+		return nil, err
+	}
+	return st.monolithic(), nil
+}
+
+// SimulateDisagg runs the disaggregated fleet over the request stream
+// and returns fleet statistics with an exactly reconciled ledger: every
+// prefill completion is matched by exactly one decode completion or a
+// reported drop. The whole simulation — autoscaling and fault injection
+// included — is deterministic for a fixed stream and config.
+func SimulateDisagg(cfg DisaggConfig, requests []serve.Request) (*DisaggStats, error) {
+	if err := cfg.validate(true); err != nil {
+		return nil, err
+	}
+	instances, roles := cfg.members()
+	return simulate(cfg, true, instances, roles, requests)
+}
+
+// simulate builds the fleet, runs its calendar dry, and returns the
+// checked statistics.
+func simulate(cfg DisaggConfig, split bool, instances []serve.Config, roles []Role, requests []serve.Request) (*DisaggStats, error) {
 	if len(requests) == 0 {
 		return nil, fmt.Errorf("cluster: no requests")
 	}
-	reqs := make([]serve.Request, len(requests))
-	copy(reqs, requests)
-	sort.Slice(reqs, func(i, j int) bool { return reqs[i].Arrival < reqs[j].Arrival })
-
-	f := &fleetSim{
-		cfg:         cfg,
-		cal:         sim.NewCalendar(),
-		rt:          newRouter(cfg.Policy, cfg.ShortPrompt),
-		reqs:        reqs,
-		lastArrival: reqs[len(reqs)-1].Arrival,
+	f, err := newFleet(cfg, split, instances, roles, requests)
+	if err != nil {
+		return nil, err
 	}
-	for _, icfg := range cfg.Instances {
-		if _, err := f.addInstance(icfg, false); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.AdmitRatePerSec > 0 {
-		f.admit = NewTokenBucket(cfg.AdmitRatePerSec, cfg.AdmitBurst)
-	}
-	if cfg.CounterfactualK > 0 {
-		f.rec = NewDecisionRecorder(cfg.Policy, cfg.ShortPrompt, cfg.CounterfactualK)
-	}
-	if cfg.Autoscale != nil || cfg.Faults != nil {
-		f.chaos = &ChaosStats{}
-		f.sampleFleet(0)
-	}
-	if cfg.Autoscale != nil {
-		if err := f.setupAutoscale(); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Faults != nil {
-		f.setupFaults()
-	}
-
-	for i := range reqs {
-		req := reqs[i]
+	for i := range f.reqs {
+		req := f.reqs[i]
 		f.cal.Schedule(req.Arrival, func(now sim.Time) { f.route(now, req) })
 	}
 	f.cal.Run()
-	if f.routeErr != nil {
-		return nil, f.routeErr
+	if f.err != nil {
+		return nil, f.err
 	}
-	for _, in := range f.members {
-		if err := in.Err(); err != nil {
-			return nil, fmt.Errorf("cluster: instance %s: %w", in.Name(), err)
+	for _, m := range f.members {
+		if err := m.in.Err(); err != nil {
+			return nil, fmt.Errorf("cluster: instance %s: %w", m.in.Name(), err)
 		}
 	}
-
-	st := f.assembleStats()
-
-	// Conservation invariant: every offered request is accounted for
-	// exactly once — rejected at the door, unroutable, or routed and
-	// then completed/abandoned by its instance. A violation means the
-	// fleet lost or duplicated a request across routing, queueing,
-	// preemption, or abandonment.
-	if st.Offered != st.Rejected+st.Unroutable+st.Routed {
-		return nil, fmt.Errorf("cluster: request accounting broken: offered %d != rejected %d + unroutable %d + routed %d",
-			st.Offered, st.Rejected, st.Unroutable, st.Routed)
-	}
-	for i := range st.Instances {
-		is := &st.Instances[i]
-		if is.Serve.Requests != is.Routed {
-			return nil, fmt.Errorf("cluster: %s settled %d of %d routed requests",
-				is.Name, is.Serve.Requests, is.Routed)
-		}
-	}
-	if c := st.Chaos; c != nil {
-		// Churn invariants: every crash eviction is requeued or dropped,
-		// and every fresh placement still settles exactly once —
-		// completed, abandoned, or dropped after a crash. Requests
-		// requeued N times settle N+1 times (once per hosting instance),
-		// which the per-instance checks above already balance.
-		if c.Killed != c.Requeued+c.Dropped {
-			return nil, fmt.Errorf("cluster: churn accounting broken: killed %d != requeued %d + dropped %d",
-				c.Killed, c.Requeued, c.Dropped)
-		}
-		if st.Routed != st.Completed+st.Abandoned+c.Dropped {
-			return nil, fmt.Errorf("cluster: churn accounting broken: routed %d != completed %d + abandoned %d + dropped %d",
-				st.Routed, st.Completed, st.Abandoned, c.Dropped)
-		}
-	}
-	// The prefix-cache ledger must reconcile exactly (per instance and
-	// in the fleet aggregate) — see serve.KVCacheStats.
-	for _, is := range st.Instances {
-		if err := is.Serve.KVCache.Reconcile(); err != nil {
-			return nil, fmt.Errorf("cluster: %s: %w", is.Name, err)
-		}
-	}
-	if err := st.KVCache.Reconcile(); err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
+	st := f.stats()
+	if err := st.reconcile(); err != nil {
+		return nil, err
 	}
 	return st, nil
-}
-
-// StampInstance adapts a fleet observer for one instance: events the
-// instance emits carry its name, and any observer already set on the
-// instance config keeps firing unstamped. Shared by every fleet
-// assembler (cluster, disagg).
-func StampInstance(name string, fleet, own serve.Observer) serve.Observer {
-	return func(e serve.Event) {
-		if own != nil {
-			own(e)
-		}
-		e.Instance = name
-		fleet(e)
-	}
 }

@@ -1,11 +1,10 @@
-package disagg
+package cluster
 
 import (
 	"reflect"
 	"strings"
 	"testing"
 
-	"github.com/skipsim/skip/internal/cluster"
 	"github.com/skipsim/skip/internal/hw"
 	"github.com/skipsim/skip/internal/serve"
 	"github.com/skipsim/skip/internal/sim"
@@ -15,7 +14,7 @@ import (
 // ledger never allocates, keeping static reports bit-identical to the
 // pre-lifecycle output.
 func TestDisaggStaticNilChaos(t *testing.T) {
-	st, err := Simulate(testConfig(), testWorkload(t, 20))
+	st, err := SimulateDisagg(testConfig(), testWorkload(t, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,9 +25,9 @@ func TestDisaggStaticNilChaos(t *testing.T) {
 
 // chaosConfig is a 2+2 fleet sized so crashes in either pool leave a
 // survivor.
-func chaosConfig() Config {
+func chaosConfig() DisaggConfig {
 	c := testConfig()
-	c.Groups = []Group{
+	c.Groups = []DisaggGroup{
 		{Platform: hw.GH200(), Count: 2, Role: RolePrefill},
 		{Platform: hw.IntelH100(), Count: 2, Role: RoleDecode},
 	}
@@ -42,9 +41,9 @@ func chaosConfig() Config {
 // must balance and the fleet must still finish the work.
 func TestDisaggCrashRequeuesBothPhases(t *testing.T) {
 	cfg := chaosConfig()
-	cfg.Faults = &cluster.FaultsConfig{Faults: []cluster.Fault{
-		{At: 200 * sim.Millisecond, Kind: cluster.FaultCrash, Target: 0}, // prefill pool
-		{At: 400 * sim.Millisecond, Kind: cluster.FaultCrash, Target: 2}, // decode pool
+	cfg.Faults = &FaultsConfig{Faults: []Fault{
+		{At: 200 * sim.Millisecond, Kind: FaultCrash, Target: 0}, // prefill pool
+		{At: 400 * sim.Millisecond, Kind: FaultCrash, Target: 2}, // decode pool
 	}}
 	var requeues []serve.Event
 	cfg.Observer = func(e serve.Event) {
@@ -52,7 +51,7 @@ func TestDisaggCrashRequeuesBothPhases(t *testing.T) {
 			requeues = append(requeues, e)
 		}
 	}
-	st, err := Simulate(cfg, testWorkload(t, 40))
+	st, err := SimulateDisagg(cfg, testWorkload(t, 40))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,15 +91,15 @@ func TestDisaggCrashRequeuesBothPhases(t *testing.T) {
 // ledger, without losing work.
 func TestDisaggLinkDegradeFault(t *testing.T) {
 	reqs := testWorkload(t, 20)
-	base, err := Simulate(testConfig(), reqs)
+	base, err := SimulateDisagg(testConfig(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := testConfig()
-	cfg.Faults = &cluster.FaultsConfig{Faults: []cluster.Fault{
-		{At: 0, Kind: cluster.FaultLinkDegrade, Target: 0, Dst: 1, Factor: 16},
+	cfg.Faults = &FaultsConfig{Faults: []Fault{
+		{At: 0, Kind: FaultLinkDegrade, Target: 0, Dst: 1, Factor: 16},
 	}}
-	slow, err := Simulate(cfg, reqs)
+	slow, err := SimulateDisagg(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,15 +117,25 @@ func TestDisaggLinkDegradeFault(t *testing.T) {
 	// A link fault aimed at an out-of-range endpoint is a deterministic
 	// no-op, not a panic.
 	cfg = testConfig()
-	cfg.Faults = &cluster.FaultsConfig{Faults: []cluster.Fault{
-		{At: 0, Kind: cluster.FaultLinkDegrade, Target: 0, Dst: 99, Factor: 2},
+	cfg.Faults = &FaultsConfig{Faults: []Fault{
+		{At: 0, Kind: FaultLinkDegrade, Target: 0, Dst: 99, Factor: 2},
 	}}
-	noop, err := Simulate(cfg, reqs)
+	noop, err := SimulateDisagg(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if noop.Chaos.DegradedLinks != 0 {
 		t.Errorf("out-of-range link fault counted: %+v", noop.Chaos)
+	}
+	// A self-link can never carry a handoff (a prefill-only source is
+	// never in the decode pool), so the plan is rejected up front
+	// rather than counted as a degraded link.
+	cfg = testConfig()
+	cfg.Faults = &FaultsConfig{Faults: []Fault{
+		{At: 0, Kind: FaultLinkDegrade, Target: 1, Dst: 1, Factor: 2},
+	}}
+	if _, err := SimulateDisagg(cfg, reqs); err == nil {
+		t.Error("self-link fault accepted, want a validation error")
 	}
 }
 
@@ -135,13 +144,13 @@ func TestDisaggLinkDegradeFault(t *testing.T) {
 // changing the wire time the link is busy for.
 func TestOverlapFractionReducesStall(t *testing.T) {
 	reqs := testWorkload(t, 20)
-	base, err := Simulate(testConfig(), reqs)
+	base, err := SimulateDisagg(testConfig(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := testConfig()
 	cfg.Transfer.OverlapFraction = 0.8
-	over, err := Simulate(cfg, reqs)
+	over, err := SimulateDisagg(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +179,7 @@ func TestOverlapFractionReducesStall(t *testing.T) {
 	for _, bad := range []float64{-0.1, 1, 1.5} {
 		cfg := testConfig()
 		cfg.Transfer.OverlapFraction = bad
-		if _, err := Simulate(cfg, reqs); err == nil {
+		if _, err := SimulateDisagg(cfg, reqs); err == nil {
 			t.Errorf("overlap fraction %g accepted, want a validation error", bad)
 		}
 	}
@@ -185,10 +194,10 @@ func TestMidTransferDestinationDeath(t *testing.T) {
 	// Throttle the wire so caches are in flight for ~100ms+ and the
 	// crash window below reliably catches one mid-transfer.
 	cfg.Transfer.BandwidthGBps = 0.05
-	cfg.Faults = &cluster.FaultsConfig{Faults: []cluster.Fault{
-		{At: 300 * sim.Millisecond, Kind: cluster.FaultCrash, Target: 1},
+	cfg.Faults = &FaultsConfig{Faults: []Fault{
+		{At: 300 * sim.Millisecond, Kind: FaultCrash, Target: 1},
 	}}
-	st, err := Simulate(cfg, testWorkload(t, 20))
+	st, err := SimulateDisagg(cfg, testWorkload(t, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,21 +219,21 @@ func TestMidTransferDestinationDeath(t *testing.T) {
 // spun-up instances must actually absorb resumes.
 func TestDisaggAutoscaleGrowsDecodePool(t *testing.T) {
 	cfg := testConfig()
-	cfg.Groups = []Group{
+	cfg.Groups = []DisaggGroup{
 		{Platform: hw.GH200(), Count: 2, Role: RolePrefill},
 		{Platform: hw.IntelH100(), Count: 1, Role: RoleDecode},
 	}
 	cfg.Transfer.BandwidthGBps = 0.1 // slow wire: transfers queue up
 	tmpl := testBase()
 	tmpl.Platform = hw.IntelH100()
-	cfg.Autoscale = &cluster.AutoscaleConfig{
-		Template: tmpl, Signal: cluster.SignalTransferQueue,
+	cfg.Autoscale = &AutoscaleConfig{
+		Template: tmpl, Signal: SignalTransferQueue,
 		Target: 0.5, Max: 3,
 		Interval: 20 * sim.Millisecond, Cooldown: 20 * sim.Millisecond,
 		SpinUpDelay: 40 * sim.Millisecond,
 	}
 	cfg.AutoscaleRole = RoleDecode
-	st, err := Simulate(cfg, testWorkload(t, 30))
+	st, err := SimulateDisagg(cfg, testWorkload(t, 30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,25 +265,25 @@ func TestDisaggAutoscaleGrowsDecodePool(t *testing.T) {
 // churn ledger, transfer economics, and per-instance series included —
 // run to run. CI runs this under -race as well.
 func TestDisaggSeededChaosDeterministic(t *testing.T) {
-	mk := func() Config {
+	mk := func() DisaggConfig {
 		cfg := chaosConfig()
 		tmpl := testBase()
 		tmpl.Platform = hw.IntelH100()
-		cfg.Autoscale = &cluster.AutoscaleConfig{
-			Template: tmpl, Signal: cluster.SignalQueueDepth,
+		cfg.Autoscale = &AutoscaleConfig{
+			Template: tmpl, Signal: SignalQueueDepth,
 			Target: 2, Max: 4,
 			Interval: 20 * sim.Millisecond, Cooldown: 20 * sim.Millisecond,
 			SpinUpDelay: 40 * sim.Millisecond,
 		}
 		cfg.AutoscaleRole = RoleDecode
-		cfg.Faults = &cluster.FaultsConfig{CrashRatePerSec: 3, Seed: 7}
+		cfg.Faults = &FaultsConfig{CrashRatePerSec: 3, Seed: 7}
 		return cfg
 	}
-	a, err := Simulate(mk(), testWorkload(t, 40))
+	a, err := SimulateDisagg(mk(), testWorkload(t, 40))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(mk(), testWorkload(t, 40))
+	b, err := SimulateDisagg(mk(), testWorkload(t, 40))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,10 @@
-package disagg
+package cluster
 
 import (
 	"reflect"
 	"strings"
 	"testing"
 
-	"github.com/skipsim/skip/internal/cluster"
 	"github.com/skipsim/skip/internal/hw"
 	"github.com/skipsim/skip/internal/models"
 	"github.com/skipsim/skip/internal/serve"
@@ -41,15 +40,15 @@ func testWorkload(t *testing.T, n int) []serve.Request {
 	return reqs
 }
 
-func testConfig() Config {
-	return Config{
-		Groups: []Group{
+func testConfig() DisaggConfig {
+	return DisaggConfig{
+		Groups: []DisaggGroup{
 			{Platform: hw.GH200(), Count: 1, Role: RolePrefill},
 			{Platform: hw.IntelH100(), Count: 2, Role: RoleDecode},
 		},
 		Base:          testBase(),
-		PrefillPolicy: cluster.LeastQueue,
-		DecodePolicy:  cluster.LeastKV,
+		PrefillPolicy: LeastQueue,
+		DecodePolicy:  LeastKV,
 		TTFTSLO:       500 * sim.Millisecond,
 	}
 }
@@ -117,11 +116,11 @@ func TestZeroBandwidthPlatformRejected(t *testing.T) {
 	}
 
 	cfg := testConfig()
-	cfg.Groups = []Group{
+	cfg.Groups = []DisaggGroup{
 		{Platform: unified, Count: 1, Role: RolePrefill},
 		{Platform: hw.IntelH100(), Count: 1, Role: RoleDecode},
 	}
-	_, err := Simulate(cfg, testWorkload(t, 4))
+	_, err := SimulateDisagg(cfg, testWorkload(t, 4))
 	if err == nil {
 		t.Fatal("fleet with an unpriceable transfer endpoint should be rejected")
 	}
@@ -131,7 +130,7 @@ func TestZeroBandwidthPlatformRejected(t *testing.T) {
 
 	// The override restores a finite price and the fleet simulates.
 	cfg.Transfer.BandwidthGBps = 100
-	st, err := Simulate(cfg, testWorkload(t, 4))
+	st, err := SimulateDisagg(cfg, testWorkload(t, 4))
 	if err != nil {
 		t.Fatalf("override should make the fleet legal: %v", err)
 	}
@@ -144,11 +143,11 @@ func TestZeroBandwidthPlatformRejected(t *testing.T) {
 	// source, no transfers — so the unpriceable link is irrelevant and
 	// the fleet stays legal without an override.
 	cfg.Transfer.BandwidthGBps = 0
-	cfg.Groups = []Group{
+	cfg.Groups = []DisaggGroup{
 		{Platform: unified, Count: 1, Role: RoleBoth},
 		{Platform: hw.IntelH100(), Count: 1, Role: RoleBoth},
 	}
-	st, err = Simulate(cfg, testWorkload(t, 4))
+	st, err = SimulateDisagg(cfg, testWorkload(t, 4))
 	if err != nil {
 		t.Fatalf("transfer-free fleet should not need a priceable link: %v", err)
 	}
@@ -163,7 +162,7 @@ func TestZeroBandwidthPlatformRejected(t *testing.T) {
 // pool, and nothing is lost.
 func TestSimulateLedger(t *testing.T) {
 	reqs := testWorkload(t, 24)
-	st, err := Simulate(testConfig(), reqs)
+	st, err := SimulateDisagg(testConfig(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +217,11 @@ func TestSimulateLedger(t *testing.T) {
 // TestSimulateDeterminism: same stream and config, byte-identical
 // stats.
 func TestSimulateDeterminism(t *testing.T) {
-	a, err := Simulate(testConfig(), testWorkload(t, 24))
+	a, err := SimulateDisagg(testConfig(), testWorkload(t, 24))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(testConfig(), testWorkload(t, 24))
+	b, err := SimulateDisagg(testConfig(), testWorkload(t, 24))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +240,7 @@ func TestSimulateEvents(t *testing.T) {
 	var events []serve.Event
 	cfg := testConfig()
 	cfg.Observer = func(e serve.Event) { events = append(events, e) }
-	st, err := Simulate(cfg, testWorkload(t, 12))
+	st, err := SimulateDisagg(cfg, testWorkload(t, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,20 +271,20 @@ func TestSimulateEvents(t *testing.T) {
 }
 
 // TestSimulateBothRolesMatchCluster: a fleet of RoleBoth groups is
-// monolithic serving — it must reproduce cluster.Simulate exactly
+// monolithic serving — it must reproduce the monolithic Simulate exactly
 // (per-pool policies and the transfer model never engage).
 func TestSimulateBothRolesMatchCluster(t *testing.T) {
 	reqs := testWorkload(t, 24)
-	dcfg := Config{
-		Groups: []Group{
+	dcfg := DisaggConfig{
+		Groups: []DisaggGroup{
 			{Platform: hw.GH200(), Count: 1, Role: RoleBoth},
 			{Platform: hw.IntelH100(), Count: 1, Role: RoleBoth},
 		},
 		Base:          testBase(),
-		PrefillPolicy: cluster.LeastQueue,
+		PrefillPolicy: LeastQueue,
 		TTFTSLO:       500 * sim.Millisecond,
 	}
-	dst, err := Simulate(dcfg, reqs)
+	dst, err := SimulateDisagg(dcfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,9 +293,9 @@ func TestSimulateBothRolesMatchCluster(t *testing.T) {
 	}
 
 	base := testBase()
-	ccfg := cluster.Config{
+	ccfg := Config{
 		Instances: nil,
-		Policy:    cluster.LeastQueue,
+		Policy:    LeastQueue,
 		TTFTSLO:   500 * sim.Millisecond,
 	}
 	for _, p := range []*hw.Platform{hw.GH200(), hw.IntelH100()} {
@@ -304,7 +303,7 @@ func TestSimulateBothRolesMatchCluster(t *testing.T) {
 		icfg.Platform = p
 		ccfg.Instances = append(ccfg.Instances, icfg)
 	}
-	cst, err := cluster.Simulate(ccfg, reqs)
+	cst, err := Simulate(ccfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,20 +323,20 @@ func TestTransferDropReported(t *testing.T) {
 	small.Name = "Tiny+H100"
 	small.GPU.HBMGB = 4 // ~1.2 GB of KV budget after fp16 weights
 
-	cfg := Config{
-		Groups: []Group{
+	cfg := DisaggConfig{
+		Groups: []DisaggGroup{
 			{Platform: hw.GH200(), Count: 1, Role: RolePrefill},
 			{Platform: small, Count: 1, Role: RoleDecode},
 		},
 		Base:          testBase(),
-		PrefillPolicy: cluster.LeastQueue,
-		DecodePolicy:  cluster.LeastKV,
+		PrefillPolicy: LeastQueue,
+		DecodePolicy:  LeastKV,
 	}
 	reqs := []serve.Request{
 		{ID: 0, Arrival: 0, PromptLen: 256, OutputLen: 8},
 		{ID: 1, Arrival: sim.Millisecond, PromptLen: 48000, OutputLen: 8}, // ~1.6 GB of KV
 	}
-	st, err := Simulate(cfg, reqs)
+	st, err := SimulateDisagg(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

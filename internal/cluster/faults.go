@@ -10,13 +10,14 @@ import (
 
 // Fault injection: scheduled or seeded-random failures applied to a
 // running fleet. A crash kills its victim outright — every in-flight
-// request is evicted and re-routed through the front-door policy
-// (requeued on whichever instance the router picks, or dropped when
-// none can ever fit it), exercising the same mutable-membership path an
-// autoscale drain uses. Slow-node faults model the degraded-host case
-// (a throttled GPU, a contended CPU side): the victim keeps serving,
-// every iteration stretched by a multiplier. Link faults degrade one
-// interconnect link's bandwidth and apply to disaggregated fleets only.
+// request is evicted and re-routed through the pool matching its
+// progress (requeued on whichever instance the router picks, or dropped
+// when none can ever fit it), exercising the same mutable-membership
+// path an autoscale drain uses. Slow-node faults model the
+// degraded-host case (a throttled GPU, a contended CPU side): the
+// victim keeps serving, every iteration stretched by a multiplier. Link
+// faults degrade one interconnect link's bandwidth and apply to
+// disaggregated fleets only.
 //
 // Everything is deterministic: scheduled faults fire at fixed calendar
 // instants, and the random-crash plan (instants and victim draws) is
@@ -73,7 +74,8 @@ type Fault struct {
 	// source-instance index). A target that does not exist at At — or
 	// already stopped — makes the fault a no-op.
 	Target int
-	// Dst is the destination-instance index of a link fault.
+	// Dst is the destination-instance index of a link fault; it must
+	// differ from Target.
 	Dst int
 	// Factor is the slow-node iteration multiplier or the link
 	// bandwidth divisor (≥ 1).
@@ -86,15 +88,17 @@ type FaultsConfig struct {
 	Faults []Fault
 	// CrashRatePerSec adds seeded-random crashes: instants drawn as a
 	// Poisson process over the arrival window, victims drawn uniformly
-	// from the surviving members at fire time. Crashes that would leave
-	// fewer than two accepting instances are skipped — chaos tests the
+	// from the members not yet stopped at fire time. A crash is skipped
+	// when removing its victim would leave any pool — the one pool of a
+	// monolithic fleet, the prefill or the decode pool of a
+	// disaggregated one — without an accepting member: chaos tests the
 	// fleet, it does not end the service.
 	CrashRatePerSec float64
 	// Seed drives the random-crash plan (rate > 0 only).
 	Seed int64
 }
 
-// validate checks the fault plan; links reports whether the hosting
+// Validate checks the fault plan; links reports whether the hosting
 // fleet has interconnect links to degrade.
 func (fc *FaultsConfig) Validate(links bool) error {
 	if fc.CrashRatePerSec < 0 {
@@ -123,6 +127,11 @@ func (fc *FaultsConfig) Validate(links bool) error {
 			if ft.Dst < 0 {
 				return fmt.Errorf("cluster: fault %d: link destination must be non-negative, got %d", i, ft.Dst)
 			}
+			if ft.Dst == ft.Target {
+				// A prefill-only source is never in the decode pool, so
+				// a self-link can never carry a handoff.
+				return fmt.Errorf("cluster: fault %d: link source and destination are both instance %d", i, ft.Dst)
+			}
 		default:
 			return fmt.Errorf("cluster: fault %d: unknown kind %v", i, ft.Kind)
 		}
@@ -131,7 +140,7 @@ func (fc *FaultsConfig) Validate(links bool) error {
 }
 
 // setupFaults schedules the whole fault plan before the calendar runs.
-func (f *fleetSim) setupFaults() {
+func (f *fleet) setupFaults() {
 	fc := f.cfg.Faults
 	for _, ft := range fc.Faults {
 		ft := ft
@@ -152,68 +161,92 @@ func (f *fleetSim) setupFaults() {
 	}
 }
 
-// injectFault applies one scheduled fault. Targets that do not exist
-// yet (an index beyond the membership at fire time) or already stopped
-// make the fault a deterministic no-op.
-func (f *fleetSim) injectFault(now sim.Time, ft Fault) {
-	if f.routeErr != nil {
+// injectFault applies one scheduled fault. Targets that do not exist at
+// fire time — or already stopped — make the fault a deterministic
+// no-op.
+func (f *fleet) injectFault(now sim.Time, ft Fault) {
+	if f.err != nil {
 		return
 	}
 	if ft.Target >= len(f.members) {
 		return
 	}
-	in := f.members[ft.Target]
-	if in.State() == serve.StateStopped {
+	m := f.members[ft.Target]
+	if ft.Kind == FaultLinkDegrade {
+		if ft.Dst >= len(f.members) {
+			return
+		}
+		if f.linkSlow != nil {
+			f.linkSlow[[2]int{ft.Target, ft.Dst}] = ft.Factor
+		}
+		f.chaos.DegradedLinks++
+		f.emitFleet(serve.Event{
+			Time: now, Type: serve.EventFaultInjected,
+			Link:   m.in.Name() + "→" + f.members[ft.Dst].in.Name(),
+			Detail: fmt.Sprintf("link-degraded ×%g", ft.Factor),
+		})
+		return
+	}
+	if m.in.State() == serve.StateStopped {
 		return
 	}
 	switch ft.Kind {
 	case FaultCrash:
 		f.crash(now, ft.Target)
 	case FaultSlowNode:
-		if err := in.SetSlowFactor(ft.Factor); err != nil {
+		if err := m.in.SetSlowFactor(ft.Factor); err != nil {
 			f.fail(err)
 			return
 		}
 		f.chaos.SlowNodes++
 		f.emitFleet(serve.Event{
 			Time: now, Type: serve.EventFaultInjected,
-			Instance: in.Name(), Detail: fmt.Sprintf("slow-node ×%g", ft.Factor),
+			Instance: m.in.Name(), Detail: fmt.Sprintf("slow-node ×%g", ft.Factor),
 		})
 	}
 }
 
 // randomCrash fires one seeded-random crash: the victim is drawn from
-// the members still standing via the pre-drawn pick, and the crash is
-// skipped when it would leave fewer than two accepting instances.
-func (f *fleetSim) randomCrash(now sim.Time, pick uint64) {
-	if f.routeErr != nil {
+// the members not yet stopped via the pre-drawn pick, and the crash is
+// skipped when removing the victim would leave any pool without an
+// accepting member (see FaultsConfig.CrashRatePerSec).
+func (f *fleet) randomCrash(now sim.Time, pick uint64) {
+	if f.err != nil {
 		return
 	}
 	var cands []int
-	accepting := 0
-	for i, in := range f.members {
-		if in.State() != serve.StateStopped {
+	for i, m := range f.members {
+		if m.in.State() != serve.StateStopped {
 			cands = append(cands, i)
 		}
-		if in.Accepting() {
-			accepting++
-		}
 	}
-	if accepting <= 1 || len(cands) == 0 {
+	if len(cands) == 0 {
 		return
 	}
-	f.crash(now, cands[int(pick%uint64(len(cands)))])
+	v := cands[int(pick%uint64(len(cands)))]
+	for _, p := range f.pools() {
+		survivors := 0
+		for k, in := range p.ins {
+			if p.idx[k] != v && in.Accepting() {
+				survivors++
+			}
+		}
+		if survivors == 0 {
+			return
+		}
+	}
+	f.crash(now, v)
 }
 
 // crash kills one member and re-routes everything it was serving.
-func (f *fleetSim) crash(now sim.Time, idx int) {
-	in := f.members[idx]
+func (f *fleet) crash(now sim.Time, idx int) {
+	m := f.members[idx]
 	f.chaos.Crashes++
 	f.emitFleet(serve.Event{
 		Time: now, Type: serve.EventFaultInjected,
-		Instance: in.Name(), Detail: "crash",
+		Instance: m.in.Name(), Detail: "crash",
 	})
-	evs := in.Kill(now) // emits instance-gone via the stamped observer
+	evs := m.in.Kill(now) // emits instance-gone via the stamped observer
 	f.chaos.Killed += len(evs)
 	f.sampleFleet(now)
 	for _, ev := range evs {
@@ -221,30 +254,41 @@ func (f *fleetSim) crash(now sim.Time, idx int) {
 	}
 }
 
-// requeue re-places one crash-evicted request through the routing
-// policy, or reports it dropped when no accepting instance can ever
-// fit it. The routed request carries its resolved lengths so the fit
-// check is exact regardless of the target's config defaults.
-func (f *fleetSim) requeue(now sim.Time, ev serve.Evicted) {
-	if f.routeErr != nil {
+// requeue re-places one crash-evicted request through the pool matching
+// its progress. A victim whose first token was never served goes back
+// through the prefill pool — and hands off again if it lands on a
+// prefill-only instance — while a mid-stream victim re-runs on the
+// decode pool, recomputing its prompt locally exactly as a post-resume
+// preemption would. A monolithic fleet's one pool takes both. Either
+// way the routed request carries its resolved lengths so the fit check
+// is exact regardless of the target's config defaults.
+func (f *fleet) requeue(now sim.Time, ev serve.Evicted) {
+	if f.err != nil {
 		return
 	}
 	req := ev.Req
 	req.PromptLen, req.OutputLen = ev.PromptLen, ev.OutputLen
-	idx := f.rt.pick(req, f.members)
-	if idx < 0 {
+	p := f.decode
+	if !ev.HasFirst {
+		p = f.prefill
+	}
+	m := f.pick(now, p, req, true)
+	if m < 0 {
 		f.chaos.Dropped++
-		f.frontDoor(now, serve.EventUnroutable, req, "")
+		f.emit(now, serve.EventUnroutable, req, "", "")
 		return
 	}
-	if f.rec != nil {
-		f.rec.Record(now, req, f.members, idx, true, 0)
+	in := f.members[m].in
+	var err error
+	if f.members[m].role == RolePrefill {
+		err = in.AcceptRequeuedPrefill(now, ev, f.handoffFrom(m))
+	} else {
+		err = in.AcceptRequeued(now, ev)
 	}
-	if err := f.members[idx].AcceptRequeued(now, ev); err != nil {
-		f.fail(fmt.Errorf("cluster: %s refused requeued request %d: %w",
-			f.members[idx].Name(), req.ID, err))
+	if err != nil {
+		f.fail(fmt.Errorf("cluster: %s refused requeued request %d: %w", in.Name(), req.ID, err))
 		return
 	}
 	f.chaos.Requeued++
-	f.frontDoor(now, serve.EventRequeued, req, f.members[idx].Name())
+	f.emit(now, serve.EventRequeued, req, in.Name(), "")
 }

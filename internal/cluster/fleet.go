@@ -14,14 +14,62 @@ import (
 type FleetGroup struct {
 	Platform *hw.Platform
 	Count    int
-	// Role is the disaggregation role of the group's instances:
-	// "prefill", "decode", "both", or "" (no disaggregation — the plain
-	// cluster simulator, which ignores the field). See internal/disagg.
+	// Role is the disaggregation role of the group's instances as
+	// parsed: "prefill", "decode", "both", or "" for an untagged group.
+	// A fleet with any tagged group is disaggregated (SimulateDisagg,
+	// roles resolved by ParseRole); FleetConfigs and a monolithic fleet
+	// take untagged groups.
 	Role string
 }
 
-// fleetRoles lists the role suffixes ParseFleet accepts.
-var fleetRoles = map[string]bool{"prefill": true, "decode": true, "both": true}
+// Role assigns a fleet member to a disaggregation pool.
+type Role int
+
+const (
+	// RoleBoth serves requests end to end — a monolithic instance that
+	// participates in prefill placement and can also absorb handoffs.
+	RoleBoth Role = iota
+	// RolePrefill runs prompt processing only: every admitted request
+	// stops at its first token and hands its KV cache away.
+	RolePrefill
+	// RoleDecode resumes handed-off requests mid-stream; the front door
+	// never routes fresh arrivals here.
+	RoleDecode
+)
+
+func (r Role) String() string {
+	switch r {
+	case RolePrefill:
+		return "prefill"
+	case RoleDecode:
+		return "decode"
+	case RoleBoth:
+		return "both"
+	default:
+		return fmt.Sprintf("role(%d)", int(r))
+	}
+}
+
+// ParseRole maps a fleet-spec role name to a Role; the empty string is
+// RoleBoth (an untagged group serves monolithically).
+func ParseRole(name string) (Role, error) {
+	switch name {
+	case "prefill":
+		return RolePrefill, nil
+	case "decode":
+		return RoleDecode, nil
+	case "both", "":
+		return RoleBoth, nil
+	}
+	return 0, fmt.Errorf("cluster: unknown role %q (have prefill|decode|both)", name)
+}
+
+// DisaggGroup is one homogeneous slice of a disaggregated fleet.
+type DisaggGroup struct {
+	Platform *hw.Platform
+	Count    int
+	Role     Role
+}
 
 // ParseFleet parses a CLI fleet spec like "GH200:4,Intel+H100:4" into
 // fleet groups, resolving each platform from the catalog. Platform
@@ -43,7 +91,7 @@ func ParseFleet(spec string) ([]FleetGroup, error) {
 		countStr, role, hasRole := strings.Cut(countStr, "/")
 		if hasRole {
 			role = strings.TrimSpace(role)
-			if !fleetRoles[role] {
+			if _, err := ParseRole(role); err != nil || role == "" {
 				return nil, fmt.Errorf("cluster: fleet entry %q: unknown role %q (have prefill|decode|both)", part, role)
 			}
 		}

@@ -101,31 +101,6 @@ func Policies() []Policy {
 	return []Policy{RoundRobin, LeastQueue, LeastKV, SessionAffinity, PlatformAware, PrefixAffinity}
 }
 
-// Router is the routing-policy engine behind Simulate's front door,
-// exported so layers composing their own fleets — the disaggregation
-// simulator routes a prefill pool and a decode pool independently —
-// reuse the same placement policies and tie-breaking.
-type Router struct {
-	r *router
-}
-
-// NewRouter builds a router for the policy. shortPrompt is the
-// platform-aware regime boundary (≤ 0 takes the 512-token default).
-func NewRouter(policy Policy, shortPrompt int64) *Router {
-	return &Router{r: newRouter(policy, shortPrompt)}
-}
-
-// Pick returns the index of the instance the policy places the request
-// on, or -1 when no instance can ever fit it. Decisions are
-// deterministic and may mutate routing state (round-robin cursor,
-// session pins).
-func (rt *Router) Pick(req serve.Request, instances []*serve.Instance) int {
-	return rt.r.pick(req, instances)
-}
-
-// Repins counts session-affinity pins moved off departed instances.
-func (rt *Router) Repins() int { return rt.r.repins }
-
 // router holds the mutable routing state: the round-robin cursor and
 // the session→instance pin table. All decisions are deterministic —
 // ties break to the lowest instance index and the session table is only

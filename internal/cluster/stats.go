@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 
 	"github.com/skipsim/skip/internal/serve"
@@ -17,7 +18,7 @@ type InstanceStats struct {
 	Serve  serve.Stats
 }
 
-// Stats summarizes a fleet simulation. The aggregate latency
+// Stats summarizes a monolithic fleet simulation. The aggregate latency
 // percentiles are computed over the pooled per-request samples from all
 // instances — not averaged per-instance percentiles — so they are the
 // fleet's true distribution.
@@ -80,15 +81,15 @@ type Stats struct {
 
 // ChaosStats is the churn ledger of a dynamic fleet. Counters balance
 // exactly: Killed == Requeued + Dropped, and the fleet's fresh
-// placements == Completed + Abandoned + Dropped.
+// placements == Completed + Abandoned + Dropped (+ TransferDrops in a
+// disaggregated fleet).
 type ChaosStats struct {
 	// Joins / Drains count autoscale grow and shrink actions.
 	Joins  int
 	Drains int
 	// Crashes / SlowNodes / DegradedLinks count injected faults that
-	// actually fired (random crashes skipped to keep the last instance
-	// alive do not count; link faults apply to disaggregated fleets
-	// only).
+	// actually fired (random crashes skipped to keep every pool serving
+	// do not count; link faults apply to disaggregated fleets only).
 	Crashes       int
 	SlowNodes     int
 	DegradedLinks int
@@ -108,21 +109,136 @@ type ChaosStats struct {
 	FleetSize   []serve.SamplePoint
 }
 
-// assembleStats pools per-instance results into fleet-level statistics.
-func (f *fleetSim) assembleStats() *Stats {
-	st := &Stats{
-		RouterPolicy: f.cfg.Policy.String(),
-		Offered:      len(f.reqs),
-		Rejected:     f.rejected,
-		Unroutable:   f.unroutable,
-		Routed:       f.placed,
+// DisaggInstanceStats pairs one instance's identity, role, and
+// placement counts with its full serving statistics.
+type DisaggInstanceStats struct {
+	Name     string
+	Platform string
+	Role     string
+	// Routed counts fresh arrivals the front door placed here; Resumed
+	// counts handoffs absorbed from the prefill pool.
+	Routed  int
+	Resumed int
+	Serve   serve.Stats
+}
+
+// DisaggStats summarizes a disaggregated fleet simulation. Latency
+// percentiles pool the per-request samples across instances: TTFTs come
+// from wherever prefill ran — every request whose first token was
+// served contributes one, including the rare request later dropped for
+// want of a decode instance (its user did receive that token) — while
+// TPOT/E2E come from wherever the request finished, so the
+// distributions are the fleet's true end-to-end view (transfer stalls
+// included in TPOT and E2E). SLO attainment is measured over the same
+// TTFT samples.
+type DisaggStats struct {
+	// PrefillPolicy / DecodePolicy name the placement policies.
+	PrefillPolicy string
+	DecodePolicy  string
+
+	// The front-door ledger: every offered request is exactly one of
+	// rejected (admission control), unroutable (fits no prefill-capable
+	// instance), or routed.
+	Offered    int
+	Rejected   int
+	Unroutable int
+	Routed     int
+
+	// The handoff ledger: every routed request settles as a completion
+	// (single-token prefills and RoleBoth instances complete locally),
+	// an abandonment, or a handoff; every handoff becomes exactly one
+	// transfer + resumption or one reported drop (no decode instance
+	// could ever hold it).
+	HandedOff     int
+	TransferDrops int
+	Resumed       int
+
+	// Completed / Abandoned / Preemptions sum over instances.
+	Completed   int
+	Abandoned   int
+	Preemptions int
+
+	// Transfer economics over the simulation.
+	Transfers    int
+	KVBytesMoved float64
+	// MeanTransfer / MaxTransfer are wire times; MeanTransferStall adds
+	// per-link queueing — the delay a request actually experiences
+	// between finishing prefill and landing on its decode instance.
+	MeanTransfer      sim.Time
+	MaxTransfer       sim.Time
+	MeanTransferStall sim.Time
+
+	// TTFT / TPOT / E2E over the pooled per-request samples (see the
+	// type comment for which requests contribute to each).
+	MeanTTFT, P50TTFT, P95TTFT, P99TTFT, MaxTTFT sim.Time
+	MeanTPOT, P50TPOT, P95TPOT                   sim.Time
+	MeanE2E, P50E2E, P95E2E, MaxE2E              sim.Time
+
+	// Horizon is the last completion across the fleet; rates are fleet
+	// totals over it.
+	Horizon       sim.Time
+	Throughput    float64
+	TokensPerSec  float64
+	Goodput       float64
+	SLOAttainment float64
+
+	// LoadImbalance is the coefficient of variation of per-instance
+	// placed work (routed + resumed).
+	LoadImbalance float64
+
+	// Chaos is the churn ledger: non-nil only when autoscaling or fault
+	// injection ran, so static reports stay bit-identical to the
+	// pre-lifecycle output.
+	Chaos *ChaosStats `json:",omitempty"`
+
+	// PrefillRouting / DecodeRouting carry per-pool decision records and
+	// counterfactual replays; nil unless DisaggConfig.CounterfactualK
+	// was set. Decode decisions additionally record the chosen link's
+	// FIFO backlog at pick time (Decision.LinkWait).
+	PrefillRouting *RoutingStats `json:",omitempty"`
+	DecodeRouting  *RoutingStats `json:",omitempty"`
+
+	// KVCache sums the per-instance prefix-cache ledgers across both
+	// pools (hit rate recomputed over the pooled counts). Nil (and
+	// omitted from JSON) for cacheless fleets, so those reports stay
+	// bit-identical.
+	KVCache *serve.KVCacheStats `json:",omitempty"`
+
+	Instances []DisaggInstanceStats
+}
+
+// stats pools per-instance results into fleet-level statistics in one
+// pass. It fills the disaggregated shape, a superset of the monolithic
+// one (see monolithic); a monolithic fleet's transfer and handoff
+// fields stay zero.
+func (f *fleet) stats() *DisaggStats {
+	st := &DisaggStats{
+		PrefillPolicy: f.cfg.PrefillPolicy.String(),
+		DecodePolicy:  f.cfg.DecodePolicy.String(),
+		Offered:       len(f.reqs),
+		Rejected:      f.rejected,
+		Unroutable:    f.unroutable,
+		// Routed counts fresh front-door placements; requeues after a
+		// crash show up only in the per-instance routed counts.
+		Routed:        f.placed,
+		TransferDrops: f.transferDrops,
+		Transfers:     f.transfers,
+		KVBytesMoved:  f.bytesMoved,
+	}
+	if f.transfers > 0 {
+		st.MeanTransfer = f.wireTotal / sim.Time(f.transfers)
+		st.MeanTransferStall = f.stallTotal / sim.Time(f.transfers)
+		st.MaxTransfer = f.wireMax
 	}
 	var ttfts, tpots, e2es []sim.Time
 	var tokensOut int64
 	var caches []*serve.KVCacheStats
-	for _, in := range f.members {
-		is := in.Stats()
+	counts := make([]int, len(f.members))
+	for i, m := range f.members {
+		is := m.in.Stats()
 		caches = append(caches, is.KVCache)
+		st.HandedOff += is.HandedOff
+		st.Resumed += is.Resumed
 		st.Completed += is.Completed
 		st.Abandoned += is.Abandoned
 		st.Preemptions += is.Preemptions
@@ -130,25 +246,28 @@ func (f *fleetSim) assembleStats() *Stats {
 			st.Horizon = is.Horizon
 		}
 		tokensOut += is.TokensOut
-		t, p, e := in.Latencies()
+		t, p, e := m.in.Latencies()
 		ttfts = append(ttfts, t...)
 		tpots = append(tpots, p...)
 		e2es = append(e2es, e...)
-		st.Instances = append(st.Instances, InstanceStats{
-			Name:     in.Name(),
-			Platform: in.Platform().Name,
-			Routed:   in.Routed(),
+		st.Instances = append(st.Instances, DisaggInstanceStats{
+			Name:     m.in.Name(),
+			Platform: m.in.Platform().Name,
+			Role:     m.role.String(),
+			Routed:   m.in.Routed(),
+			Resumed:  is.Resumed,
 			Serve:    *is,
 		})
+		counts[i] = m.in.Routed() + is.Resumed
 	}
 
-	st.MeanTTFT, st.MaxTTFT = MeanMax(ttfts)
+	st.MeanTTFT, st.MaxTTFT = meanMax(ttfts)
 	pt := serve.Percentiles(ttfts, 50, 95, 99)
 	st.P50TTFT, st.P95TTFT, st.P99TTFT = pt[0], pt[1], pt[2]
-	st.MeanTPOT, _ = MeanMax(tpots)
+	st.MeanTPOT, _ = meanMax(tpots)
 	pp := serve.Percentiles(tpots, 50, 95)
 	st.P50TPOT, st.P95TPOT = pp[0], pp[1]
-	st.MeanE2E, st.MaxE2E = MeanMax(e2es)
+	st.MeanE2E, st.MaxE2E = meanMax(e2es)
 	pe := serve.Percentiles(e2es, 50, 95)
 	st.P50E2E, st.P95E2E = pe[0], pe[1]
 
@@ -158,25 +277,119 @@ func (f *fleetSim) assembleStats() *Stats {
 		st.TokensPerSec = float64(tokensOut) / sec
 	}
 	st.SLOAttainment, st.Goodput = serve.SLOGoodput(ttfts, f.cfg.TTFTSLO, st.Horizon, st.Throughput)
-	counts := make([]int, len(st.Instances))
-	for i, is := range st.Instances {
-		counts[i] = is.Routed
-	}
-	st.LoadImbalance = ImbalanceCV(counts)
+	st.LoadImbalance = imbalanceCV(counts)
 	if f.chaos != nil {
-		f.chaos.Repins = f.rt.repins
-		f.chaos.FinalActive = f.activeCount()
+		for _, p := range f.pools() {
+			f.chaos.Repins += p.rt.repins
+		}
+		f.chaos.FinalActive = f.active(RoleBoth)
 		st.Chaos = f.chaos
 	}
-	st.Routing = f.rec.Stats()
+	st.PrefillRouting = f.prefill.rec.Stats()
+	if f.split {
+		st.DecodeRouting = f.decode.rec.Stats()
+	}
 	st.KVCache = serve.MergeKVCacheStats(caches)
 	return st
 }
 
-// MeanMax returns the mean and maximum of a latency sample set (0, 0
-// when empty). Shared by every fleet-statistics assembler (cluster,
-// disagg).
-func MeanMax(ts []sim.Time) (mean, max sim.Time) {
+// monolithic projects a one-pool fleet's statistics onto the monolithic
+// report shape: the router is the prefill pool's, and the per-instance
+// rows drop the role and resume columns that are constant there.
+func (d *DisaggStats) monolithic() *Stats {
+	st := &Stats{
+		RouterPolicy:  d.PrefillPolicy,
+		Offered:       d.Offered,
+		Rejected:      d.Rejected,
+		Unroutable:    d.Unroutable,
+		Routed:        d.Routed,
+		Completed:     d.Completed,
+		Abandoned:     d.Abandoned,
+		Preemptions:   d.Preemptions,
+		MeanTTFT:      d.MeanTTFT,
+		P50TTFT:       d.P50TTFT,
+		P95TTFT:       d.P95TTFT,
+		P99TTFT:       d.P99TTFT,
+		MaxTTFT:       d.MaxTTFT,
+		MeanTPOT:      d.MeanTPOT,
+		P50TPOT:       d.P50TPOT,
+		P95TPOT:       d.P95TPOT,
+		MeanE2E:       d.MeanE2E,
+		P50E2E:        d.P50E2E,
+		P95E2E:        d.P95E2E,
+		MaxE2E:        d.MaxE2E,
+		Horizon:       d.Horizon,
+		Throughput:    d.Throughput,
+		TokensPerSec:  d.TokensPerSec,
+		Goodput:       d.Goodput,
+		SLOAttainment: d.SLOAttainment,
+		LoadImbalance: d.LoadImbalance,
+		Chaos:         d.Chaos,
+		Routing:       d.PrefillRouting,
+		KVCache:       d.KVCache,
+	}
+	for _, is := range d.Instances {
+		st.Instances = append(st.Instances, InstanceStats{
+			Name:     is.Name,
+			Platform: is.Platform,
+			Routed:   is.Routed,
+			Serve:    is.Serve,
+		})
+	}
+	return st
+}
+
+// reconcile verifies every ledger a fleet run keeps; a violation means
+// the fleet lost or duplicated a request across routing, handoff,
+// transfer, resumption, preemption, abandonment, or crash requeue.
+func (st *DisaggStats) reconcile() error {
+	if st.Offered != st.Rejected+st.Unroutable+st.Routed {
+		return fmt.Errorf("cluster: front-door ledger broken: offered %d != rejected %d + unroutable %d + routed %d",
+			st.Offered, st.Rejected, st.Unroutable, st.Routed)
+	}
+	if st.HandedOff != st.TransferDrops+st.Resumed {
+		return fmt.Errorf("cluster: handoff ledger broken: %d handed off != %d dropped + %d resumed",
+			st.HandedOff, st.TransferDrops, st.Resumed)
+	}
+	for i := range st.Instances {
+		is := &st.Instances[i]
+		// Everything an instance was given (routed arrivals, requeues
+		// and resumed handoffs) must settle there (completed + abandoned
+		// + handed off + killed in a crash).
+		if is.Serve.Requests != is.Routed+is.Resumed {
+			return fmt.Errorf("cluster: %s settled %d of %d placed requests (routed %d + resumed %d)",
+				is.Name, is.Serve.Requests, is.Routed+is.Resumed, is.Routed, is.Resumed)
+		}
+		// The prefix-cache ledger must reconcile exactly, per instance
+		// and in the fleet aggregate (see serve.KVCacheStats).
+		if err := is.Serve.KVCache.Reconcile(); err != nil {
+			return fmt.Errorf("cluster: %s: %w", is.Name, err)
+		}
+	}
+	if err := st.KVCache.Reconcile(); err != nil {
+		return fmt.Errorf("cluster: %w", err)
+	}
+	if c := st.Chaos; c != nil {
+		// Churn invariants: every crash eviction is requeued or dropped,
+		// and every fresh placement still settles exactly once —
+		// completed, abandoned, dropped at transfer, or dropped at
+		// requeue. Requests requeued N times settle N+1 times (once per
+		// hosting instance), which the per-instance checks balance.
+		if c.Killed != c.Requeued+c.Dropped {
+			return fmt.Errorf("cluster: churn accounting broken: killed %d != requeued %d + dropped %d",
+				c.Killed, c.Requeued, c.Dropped)
+		}
+		if st.Routed != st.Completed+st.Abandoned+st.TransferDrops+c.Dropped {
+			return fmt.Errorf("cluster: churn accounting broken: routed %d != completed %d + abandoned %d + transfer-dropped %d + dropped %d",
+				st.Routed, st.Completed, st.Abandoned, st.TransferDrops, c.Dropped)
+		}
+	}
+	return nil
+}
+
+// meanMax returns the mean and maximum of a latency sample set (0, 0
+// when empty).
+func meanMax(ts []sim.Time) (mean, max sim.Time) {
 	if len(ts) == 0 {
 		return 0, 0
 	}
@@ -190,10 +403,10 @@ func MeanMax(ts []sim.Time) (mean, max sim.Time) {
 	return sum / sim.Time(len(ts)), max
 }
 
-// ImbalanceCV is the coefficient of variation (stddev/mean) of
+// imbalanceCV is the coefficient of variation (stddev/mean) of
 // per-instance work counts: 0 for a perfectly even split, growing as
 // placement concentrates load.
-func ImbalanceCV(counts []int) float64 {
+func imbalanceCV(counts []int) float64 {
 	if len(counts) == 0 {
 		return 0
 	}

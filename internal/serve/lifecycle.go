@@ -10,7 +10,7 @@ import (
 // leave a *running* simulation (drain or kill) and new instances can
 // join one (NewInstance is callable from inside a calendar event), so a
 // fleet's membership is no longer frozen at construction. The fleet
-// layers (cluster, disagg) build autoscaling and failure injection on
+// engine (internal/cluster) builds autoscaling and failure injection on
 // these primitives; the serving layer itself only defines the states
 // and the exact accounting that keeps the request ledger reconcilable
 // under churn.

@@ -144,6 +144,13 @@ func TestChaosSpecValidation(t *testing.T) {
 			s.Fleet.Faults.Schedule[0].Kind = "link-degraded"
 			s.Fleet.Faults.Schedule[0].Factor = 2
 		}, "fleet.faults.schedule[0].kind"},
+		{"self-link fault", func(s *Spec) {
+			s.Fleet.Router = ""
+			s.Fleet.Groups[0].Role = "prefill"
+			s.Fleet.Groups = append(s.Fleet.Groups, FleetGroupSpec{Platform: "Intel+H100", Count: 1, Role: "decode"})
+			s.Fleet.Disaggregation = &DisaggregationSpec{}
+			s.Fleet.Faults.Schedule[0] = FaultSpec{Kind: "link-degraded", Instance: 2, Dst: 2, Factor: 2}
+		}, "fleet.faults.schedule[0].dst"},
 	}
 	for _, tc := range cases {
 		s := chaosFleetBase(t)

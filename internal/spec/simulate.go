@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/skipsim/skip/internal/cluster"
-	"github.com/skipsim/skip/internal/disagg"
 	"github.com/skipsim/skip/internal/engine"
 	"github.com/skipsim/skip/internal/hw"
 	"github.com/skipsim/skip/internal/kvcache"
@@ -35,7 +34,7 @@ type Report struct {
 	Cluster *cluster.Stats `json:"cluster,omitempty"`
 
 	// KindDisagg: the disaggregated-fleet statistics.
-	Disagg *disagg.Stats `json:"disagg,omitempty"`
+	Disagg *cluster.DisaggStats `json:"disagg,omitempty"`
 
 	// KindSweep: the swept field's JSON path and the ordered series,
 	// one full Report per substituted value.
@@ -224,10 +223,8 @@ func Simulate(s *Spec, opts ...Option) (*Report, error) {
 		rep, err = s.simulateRun()
 	case KindServe:
 		rep, err = s.simulateServe(&o)
-	case KindDisagg:
-		rep, err = s.simulateDisagg(&o)
 	default:
-		rep, err = s.simulateCluster(&o)
+		rep, err = s.simulateFleet(&o)
 	}
 	if err != nil {
 		return nil, err
@@ -435,7 +432,11 @@ func (s *Spec) simulateServe(o *options) (*Report, error) {
 	return rep, nil
 }
 
-func (s *Spec) simulateCluster(o *options) (*Report, error) {
+// simulateFleet is the one fleet front door: it expands the groups
+// over the serve section, wires progress, timeline, decision recording,
+// autoscale and faults, and runs the fleet as one monolithic pool or —
+// with a fleet.disaggregation section — as prefill and decode pools.
+func (s *Spec) simulateFleet(o *options) (*Report, error) {
 	reqs, err := s.requests()
 	if err != nil {
 		return nil, err
@@ -452,37 +453,32 @@ func (s *Spec) simulateCluster(o *options) (*Report, error) {
 		}
 	}
 	initial := 0
-	for _, g := range f.Groups {
-		initial += g.Count
-	}
-	agg := s.timelineAgg(KindCluster, initial)
-	if agg != nil {
-		base.EmitStateSamples = true
-		base.SampleWindow = s.timelineWindow()
-	}
-	groups := make([]cluster.FleetGroup, len(f.Groups))
+	groups := make([]cluster.DisaggGroup, len(f.Groups))
 	for i, g := range f.Groups {
+		initial += g.Count
 		p, err := hw.ByName(g.Platform)
 		if err != nil {
 			return nil, err
 		}
-		groups[i] = cluster.FleetGroup{Platform: p, Count: g.Count}
+		role, err := cluster.ParseRole(g.Role)
+		if err != nil {
+			return nil, err
+		}
+		groups[i] = cluster.DisaggGroup{Platform: p, Count: g.Count, Role: role}
 	}
-	instances, err := cluster.FleetConfigs(groups, base)
-	if err != nil {
-		return nil, err
-	}
-	router, err := cluster.ParsePolicy(f.routerName())
-	if err != nil {
-		return nil, err
+	kind := s.Kind()
+	agg := s.timelineAgg(kind, initial)
+	if agg != nil {
+		base.EmitStateSamples = true
+		base.SampleWindow = s.timelineWindow()
 	}
 	obs := progressObserver(o.observer, len(reqs), o.progressEvery)
 	if agg != nil {
 		obs = chainObs(obs, agg.Observe)
 	}
-	ccfg := cluster.Config{
-		Instances:       instances,
-		Policy:          router,
+	cfg := cluster.DisaggConfig{
+		Groups:          groups,
+		Base:            base,
 		ShortPrompt:     f.ShortPrompt,
 		TTFTSLO:         base.TTFTSLO,
 		AdmitRatePerSec: f.AdmitRatePerSec,
@@ -490,118 +486,52 @@ func (s *Spec) simulateCluster(o *options) (*Report, error) {
 		Observer:        o.countObs(obs),
 	}
 	if s.Observability != nil {
-		ccfg.CounterfactualK = s.Observability.CounterfactualK
+		cfg.CounterfactualK = s.Observability.CounterfactualK
 	}
 	if f.Autoscale != nil {
-		ccfg.Autoscale, err = f.Autoscale.config(base)
+		cfg.Autoscale, err = f.Autoscale.config(base)
 		if err != nil {
 			return nil, err
 		}
 	}
 	if f.Faults != nil {
-		ccfg.Faults = f.Faults.config()
+		cfg.Faults = f.Faults.config()
 	}
-	st, err := cluster.Simulate(ccfg, reqs)
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{Kind: KindCluster, Cluster: st, Offered: len(reqs)}
-	if agg != nil {
-		rep.Timeline = agg.Finish(st.Horizon)
-	}
-	return rep, nil
-}
-
-func (s *Spec) simulateDisagg(o *options) (*Report, error) {
-	reqs, err := s.requests()
-	if err != nil {
-		return nil, err
-	}
-	base, err := s.serveConfig(nil)
-	if err != nil {
-		return nil, err
-	}
-	f := s.Fleet
-	d := f.Disaggregation
-	if f.KVCache != nil {
-		base.KVCache, err = f.KVCache.config()
-		if err != nil {
+	rep := &Report{Kind: kind, Offered: len(reqs)}
+	var horizon sim.Time
+	if d := f.Disaggregation; d != nil {
+		if cfg.PrefillPolicy, err = cluster.ParsePolicy(d.prefillRouterName()); err != nil {
 			return nil, err
 		}
-	}
-	initial := 0
-	for _, g := range f.Groups {
-		initial += g.Count
-	}
-	agg := s.timelineAgg(KindDisagg, initial)
-	if agg != nil {
-		base.EmitStateSamples = true
-		base.SampleWindow = s.timelineWindow()
-	}
-	groups := make([]disagg.Group, len(f.Groups))
-	for i, g := range f.Groups {
-		p, err := hw.ByName(g.Platform)
-		if err != nil {
+		if cfg.DecodePolicy, err = cluster.ParsePolicy(d.decodeRouterName()); err != nil {
 			return nil, err
 		}
-		role, err := disagg.ParseRole(g.Role)
-		if err != nil {
-			return nil, err
-		}
-		groups[i] = disagg.Group{Platform: p, Count: g.Count, Role: role}
-	}
-	prefillRouter, err := cluster.ParsePolicy(d.prefillRouterName())
-	if err != nil {
-		return nil, err
-	}
-	decodeRouter, err := cluster.ParsePolicy(d.decodeRouterName())
-	if err != nil {
-		return nil, err
-	}
-	obs := progressObserver(o.observer, len(reqs), o.progressEvery)
-	if agg != nil {
-		obs = chainObs(obs, agg.Observe)
-	}
-	dcfg := disagg.Config{
-		Groups:        groups,
-		Base:          base,
-		PrefillPolicy: prefillRouter,
-		DecodePolicy:  decodeRouter,
-		ShortPrompt:   f.ShortPrompt,
-		Transfer: disagg.TransferModel{
+		cfg.Transfer = cluster.TransferModel{
 			HostHopMultiplier: d.HostHopMultiplier,
 			BandwidthGBps:     d.BandwidthGBps,
 			OverlapFraction:   d.OverlapFraction,
-		},
-		LinkAwareDecode: d.LinkAwareDecode,
-		TTFTSLO:         base.TTFTSLO,
-		AdmitRatePerSec: f.AdmitRatePerSec,
-		AdmitBurst:      f.AdmitBurst,
-		Observer:        o.countObs(obs),
-	}
-	if s.Observability != nil {
-		dcfg.CounterfactualK = s.Observability.CounterfactualK
-	}
-	if f.Autoscale != nil {
-		dcfg.Autoscale, err = f.Autoscale.config(base)
-		if err != nil {
+		}
+		cfg.LinkAwareDecode = d.LinkAwareDecode
+		if f.Autoscale != nil {
+			if cfg.AutoscaleRole, err = cluster.ParseRole(f.Autoscale.roleName()); err != nil {
+				return nil, err
+			}
+		}
+		if rep.Disagg, err = cluster.SimulateDisagg(cfg, reqs); err != nil {
 			return nil, err
 		}
-		dcfg.AutoscaleRole, err = disagg.ParseRole(f.Autoscale.roleName())
-		if err != nil {
+		horizon = rep.Disagg.Horizon
+	} else {
+		if cfg.PrefillPolicy, err = cluster.ParsePolicy(f.routerName()); err != nil {
 			return nil, err
 		}
+		if rep.Cluster, err = cluster.SimulateMonolithic(cfg, reqs); err != nil {
+			return nil, err
+		}
+		horizon = rep.Cluster.Horizon
 	}
-	if f.Faults != nil {
-		dcfg.Faults = f.Faults.config()
-	}
-	st, err := disagg.Simulate(dcfg, reqs)
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{Kind: KindDisagg, Disagg: st, Offered: len(reqs)}
 	if agg != nil {
-		rep.Timeline = agg.Finish(st.Horizon)
+		rep.Timeline = agg.Finish(horizon)
 	}
 	return rep, nil
 }

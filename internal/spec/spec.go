@@ -6,10 +6,11 @@
 // Simulate dispatches it to the engine, serving, or cluster layer based
 // on which sections are present.
 //
-// The Spec replaces three parallel entry points (skip.Run, skip.Serve,
-// skip.SimulateCluster), each with its own config plumbing: a CLI
-// subcommand, a bench experiment, and a library caller can now share
-// one document, round-trippable via Load/Save, and consume one Report.
+// The Spec is the one entry point to the serving and fleet layers: a
+// CLI subcommand, a bench experiment, and a library caller share one
+// document, round-trippable via Load/Save, and consume one Report.
+// Monolithic and disaggregated fleets run on the same cluster engine
+// through one front door (simulateFleet).
 package spec
 
 import (
@@ -384,15 +385,16 @@ type FaultsSpec struct {
 	// Schedule lists deterministic injections.
 	Schedule []FaultSpec `json:"schedule,omitempty"`
 	// CrashRatePerSec adds seeded-random crashes: a Poisson process
-	// over the arrival window, victims drawn uniformly from the
-	// survivors; crashes the fleet could not survive are skipped.
+	// over the arrival window, victims drawn uniformly from the members
+	// not yet stopped; a crash that would leave any pool without an
+	// accepting member is skipped.
 	CrashRatePerSec float64 `json:"crash_rate_per_sec,omitempty"`
 	// Seed drives the random-crash plan.
 	Seed int64 `json:"seed,omitempty"`
 }
 
 // DisaggregationSpec configures prefill/decode disaggregation for a
-// fleet (see internal/disagg).
+// fleet (see cluster.SimulateDisagg).
 type DisaggregationSpec struct {
 	// PrefillRouter places fresh arrivals on the prefill pool:
 	// "least-queue" (default), "round-robin", "least-kv",

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"github.com/skipsim/skip/internal/cluster"
-	"github.com/skipsim/skip/internal/disagg"
 	"github.com/skipsim/skip/internal/engine"
 	"github.com/skipsim/skip/internal/hw"
 	"github.com/skipsim/skip/internal/kvcache"
@@ -427,17 +426,17 @@ func (f *FleetSpec) validate() error {
 		if g.Count <= 0 {
 			return errAt(path+".count", "must be positive, got %d", g.Count)
 		}
-		role, err := disagg.ParseRole(g.Role)
+		role, err := cluster.ParseRole(g.Role)
 		if err != nil {
 			return errAt(path+".role", "%v", err)
 		}
 		if g.Role != "" && f.Disaggregation == nil {
 			return errAt(path+".role", "group roles need a fleet.disaggregation section")
 		}
-		if role != disagg.RolePrefill {
+		if role != cluster.RolePrefill {
 			decodable += g.Count
 		}
-		if role != disagg.RoleDecode {
+		if role != cluster.RoleDecode {
 			prefillable += g.Count
 		}
 		// A disaggregated fleet may field the same platform once per
@@ -576,7 +575,7 @@ func (a *AutoscaleSpec) validate(disaggregated bool) error {
 	if !disaggregated && a.Role != "" {
 		return errAt("fleet.autoscale.role", "scaled-pool roles need a fleet.disaggregation section")
 	}
-	if _, err := disagg.ParseRole(a.roleName()); err != nil {
+	if _, err := cluster.ParseRole(a.roleName()); err != nil {
 		return errAt("fleet.autoscale.role", "%v", err)
 	}
 	return nil
@@ -619,6 +618,9 @@ func (fc *FaultsSpec) validate(disaggregated bool) error {
 			}
 			if ft.Dst < 0 {
 				return errAt(path+".dst", "must be non-negative, got %d", ft.Dst)
+			}
+			if ft.Dst == ft.Instance {
+				return errAt(path+".dst", "must differ from instance %d: a prefill-only source never hosts decode work, so a self-link carries no handoff", ft.Instance)
 			}
 			if ft.Factor < 1 {
 				return errAt(path+".factor", "must be ≥ 1, got %g", ft.Factor)

@@ -182,34 +182,26 @@ func TestPublicClusterPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := skip.ModelByName("gpt2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	requests, err := skip.GenerateWorkload(skip.ServeWorkload{
-		Scenario: skip.ScenarioChat, N: 12, RatePerSec: 100, Seed: 5,
-		Prompt: skip.ServeLengthDist{Mean: 48, Sigma: 0.5, Min: 16, Max: 96},
-		Output: skip.ServeLengthDist{Mean: 4, Sigma: 0.5, Min: 2, Max: 8},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := skip.ServeConfig{
-		Model: model, Seq: 64, Mode: skip.ModeEager,
-		Policy: skip.ContinuousBatch, MaxBatch: 8,
-	}
-	instances, err := skip.FleetConfigs(groups, base)
-	if err != nil {
-		t.Fatal(err)
+	var fleet []skip.FleetGroupSpec
+	for _, g := range groups {
+		fleet = append(fleet, skip.FleetGroupSpec{Platform: g.Platform.Name, Count: g.Count})
 	}
 	for _, policy := range skip.RouterPolicies() {
-		stats, err := skip.SimulateCluster(skip.ClusterConfig{
-			Instances: instances,
-			Policy:    policy,
-		}, requests)
+		rep, err := skip.Simulate(&skip.Spec{
+			Model: "gpt2",
+			Mode:  "eager",
+			Workload: &skip.WorkloadSpec{
+				Scenario: "chat", Requests: 12, RatePerSec: 100, Seed: 5,
+				Prompt: &skip.LengthDistSpec{Mean: 48, Sigma: 0.5, Min: 16, Max: 96},
+				Output: &skip.LengthDistSpec{Mean: 4, Sigma: 0.5, Min: 2, Max: 8},
+			},
+			Serve: &skip.ServeSpec{Policy: "continuous", Seq: 64, MaxBatch: 8},
+			Fleet: &skip.FleetSpec{Groups: fleet, Router: policy.String()},
+		})
 		if err != nil {
 			t.Fatalf("%v: %v", policy, err)
 		}
+		stats := rep.Cluster
 		if stats.Completed != 12 || stats.Offered != stats.Routed {
 			t.Errorf("%v: ledger %+v", policy, stats)
 		}
