@@ -2,11 +2,18 @@ package skip_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"hash"
+	"math"
 	"path/filepath"
 	"testing"
 
 	skip "github.com/skipsim/skip"
+	"github.com/skipsim/skip/internal/fusion"
 	"github.com/skipsim/skip/internal/trace"
 )
 
@@ -281,4 +288,112 @@ func TestSpecAPI(t *testing.T) {
 	if _, err := skip.ParseSpec([]byte(`{"model":"llama-3.2-1B","bogus":1,"run":{"batch":1,"seq":64}}`)); err == nil {
 		t.Error("ParseSpec should reject unknown fields")
 	}
+}
+
+// fusionGoldens pins the fusion recommender's complete output — every
+// Report row, every chain's kernels, counts and exact score bits, and the
+// greedy instance cover at L = 2, 8 and 64 — for each evaluation
+// platform × Table III model in eager mode at seq 512. The digests were
+// recorded from the string-keyed chain miner; any change to chain
+// identity, order or scoring shows up here. Never regenerate them to make
+// a change pass. The kernel sequence does not depend on the platform,
+// so each model's digests repeat across platforms.
+var fusionGoldens = map[string]string{
+	"AMD+A100/bert-base-uncased/bs1":     "66e1500343b1b5da",
+	"AMD+A100/bert-base-uncased/bs128":   "be956c589bc7680c",
+	"AMD+A100/xlm-roberta-base/bs1":      "66e1500343b1b5da",
+	"AMD+A100/xlm-roberta-base/bs128":    "be956c589bc7680c",
+	"AMD+A100/gpt2/bs1":                  "83c918e4b57e1a74",
+	"AMD+A100/gpt2/bs128":                "1132d042d4ac3780",
+	"AMD+A100/llama-3.2-1B/bs1":          "a9c5e5baad4e122e",
+	"AMD+A100/llama-3.2-1B/bs128":        "b9c2e4259a794dbd",
+	"Intel+H100/bert-base-uncased/bs1":   "66e1500343b1b5da",
+	"Intel+H100/bert-base-uncased/bs128": "be956c589bc7680c",
+	"Intel+H100/xlm-roberta-base/bs1":    "66e1500343b1b5da",
+	"Intel+H100/xlm-roberta-base/bs128":  "be956c589bc7680c",
+	"Intel+H100/gpt2/bs1":                "83c918e4b57e1a74",
+	"Intel+H100/gpt2/bs128":              "1132d042d4ac3780",
+	"Intel+H100/llama-3.2-1B/bs1":        "a9c5e5baad4e122e",
+	"Intel+H100/llama-3.2-1B/bs128":      "b9c2e4259a794dbd",
+	"GH200/bert-base-uncased/bs1":        "66e1500343b1b5da",
+	"GH200/bert-base-uncased/bs128":      "be956c589bc7680c",
+	"GH200/xlm-roberta-base/bs1":         "66e1500343b1b5da",
+	"GH200/xlm-roberta-base/bs128":       "be956c589bc7680c",
+	"GH200/gpt2/bs1":                     "83c918e4b57e1a74",
+	"GH200/gpt2/bs128":                   "1132d042d4ac3780",
+	"GH200/llama-3.2-1B/bs1":             "a9c5e5baad4e122e",
+	"GH200/llama-3.2-1B/bs128":           "b9c2e4259a794dbd",
+}
+
+func TestFusionRecommendationGoldens(t *testing.T) {
+	seen := 0
+	for _, p := range skip.Platforms() {
+		for _, m := range skip.Models() {
+			for _, batch := range []int64{1, 128} {
+				key := fmt.Sprintf("%s/%s/bs%d", p.Name, m.Name, batch)
+				res, err := skip.RunRequest(skip.Request{Platform: p, Model: m, Batch: batch, Seq: 512, Mode: skip.ModeEager})
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				rep, err := skip.RecommendFusion(res.Trace, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				got := fusionDigest(t, rep, skip.KernelSequence(res.Trace))
+				seen++
+				if want, ok := fusionGoldens[key]; !ok {
+					t.Errorf("%s: no golden digest (got %s)", key, got)
+				} else if got != want {
+					t.Errorf("%s: digest %s, want %s", key, got, want)
+				}
+			}
+		}
+	}
+	if seen != len(fusionGoldens) {
+		t.Errorf("checked %d configurations, golden table has %d", seen, len(fusionGoldens))
+	}
+}
+
+// fusionDigest hashes a fusion report and the instance covers of seq in
+// a length-prefixed binary encoding, so no two distinct outputs share an
+// encoding.
+func fusionDigest(t *testing.T, rep *skip.FusionReport, seq []string) string {
+	h := sha256.New()
+	putInt(h, int64(rep.SequenceLen))
+	putInt(h, int64(len(rep.Rows)))
+	for _, row := range rep.Rows {
+		for _, v := range []int{row.Length, row.SequenceLen, row.UniqueChains, row.TotalInstances, row.FusedChains, row.KernelsAfterFusion} {
+			putInt(h, int64(v))
+		}
+		putInt(h, int64(math.Float64bits(row.IdealSpeedup)))
+		putInt(h, int64(len(row.Chains)))
+		for _, c := range row.Chains {
+			putInt(h, int64(len(c.Kernels)))
+			for _, k := range c.Kernels {
+				putInt(h, int64(len(k)))
+				h.Write([]byte(k))
+			}
+			putInt(h, int64(c.Frequency))
+			putInt(h, int64(c.LeadFrequency))
+			putInt(h, int64(math.Float64bits(c.Score)))
+		}
+	}
+	for _, l := range []int{2, 8, 64} {
+		pos, err := fusion.InstancePositions(seq, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		putInt(h, int64(l))
+		putInt(h, int64(len(pos)))
+		for _, p := range pos {
+			putInt(h, int64(p))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+func putInt(h hash.Hash, v int64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(v))
+	h.Write(b[:])
 }
