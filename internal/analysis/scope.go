@@ -16,9 +16,10 @@ import "strings"
 //     unseeded random stream, an unsupervised goroutine, or a
 //     map-ordered float sum is never acceptable in non-test code.
 //   - maprange applies to the report/stats/event-emitting packages,
-//     where iteration order leaks straight into published artifacts.
-//     Pure-compute packages (engine, ops, fusion, models, sim) are out
-//     of scope until a map range there can reach an output.
+//     where iteration order leaks straight into published artifacts,
+//     and to fusion, whose chain order reaches the recommend output.
+//     Pure-compute packages (engine, ops, models, sim) are out of scope
+//     until a map range there can reach an output.
 //
 // Every scope also covers internal/analysis/testdata/... so the CI
 // bad-fixture smoke exercises each check through the real driver; the
@@ -38,6 +39,7 @@ var DefaultScopes = map[string][]string{
 		"github.com/skipsim/skip/internal/metrics",
 		"github.com/skipsim/skip/internal/trace",
 		"github.com/skipsim/skip/internal/kvcache",
+		"github.com/skipsim/skip/internal/fusion",
 		"github.com/skipsim/skip/internal/analysis/testdata/...",
 	},
 }

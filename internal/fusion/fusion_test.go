@@ -304,3 +304,21 @@ func TestInstancePositionsCoverMoreThanDistinctChains(t *testing.T) {
 			len(pos), a.FusedChains)
 	}
 }
+
+// Kernel names may contain the Key separator "→" (any trace loaded from
+// a file can carry them). Windows that merely render to the same Key
+// must stay distinct chains, and every score must stay within [0, 1].
+func TestAnalyzeSeparatorInKernelName(t *testing.T) {
+	a, err := Analyze([]string{"a→b", "c", "a", "b→c"}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.UniqueChains != 3 || len(a.Chains) != 3 {
+		t.Fatalf("chains = %+v, want 3 distinct", a.Chains)
+	}
+	for _, c := range a.Chains {
+		if len(c.Kernels) != 2 || c.Score < 0 || c.Score > 1 {
+			t.Errorf("chain %q: %d kernels, score %v; want 2 kernels, score in [0, 1]", c.Kernels, len(c.Kernels), c.Score)
+		}
+	}
+}

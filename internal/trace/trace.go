@@ -11,8 +11,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/skipsim/skip/internal/sim"
 )
@@ -128,13 +129,20 @@ func (t *Trace) Append(e Event) { t.Events = append(t.Events, e) }
 
 // Sort orders events by start time, stably, so same-timestamp events keep
 // emission order.
-func (t *Trace) Sort() {
-	sort.SliceStable(t.Events, func(i, j int) bool { return t.Events[i].Ts < t.Events[j].Ts })
-}
+func (t *Trace) Sort() { sortByTs(t.Events) }
 
 // Filter returns the events of one category, in trace order.
 func (t *Trace) Filter(cat Category) []Event {
-	var out []Event
+	n := 0
+	for i := range t.Events {
+		if t.Events[i].Cat == cat {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Event, 0, n)
 	for _, e := range t.Events {
 		if e.Cat == cat {
 			out = append(out, e)
@@ -146,8 +154,13 @@ func (t *Trace) Filter(cat Category) []Event {
 // Kernels returns kernel events sorted by start time.
 func (t *Trace) Kernels() []Event {
 	ks := t.Filter(CatKernel)
-	sort.SliceStable(ks, func(i, j int) bool { return ks[i].Ts < ks[j].Ts })
+	sortByTs(ks)
 	return ks
+}
+
+// sortByTs orders events by start time, stably.
+func sortByTs(events []Event) {
+	slices.SortStableFunc(events, func(a, b Event) int { return cmp.Compare(a.Ts, b.Ts) })
 }
 
 // Span returns the earliest start and latest end across all events.
