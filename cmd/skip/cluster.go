@@ -39,17 +39,13 @@ func cmdCluster(args []string) error {
 		return err
 	}
 
-	parsed, err := skip.ParseFleet(*fleetSpec)
+	groups, err := skip.ParseFleet(*fleetSpec)
 	if err != nil {
 		return err
 	}
-	groups := make([]skip.FleetGroupSpec, len(parsed))
 	disaggregated := false
-	for i, g := range parsed {
-		groups[i] = skip.FleetGroupSpec{Platform: g.Platform.Name, Count: g.Count, Role: g.Role}
-		if g.Role != "" {
-			disaggregated = true
-		}
+	for _, g := range groups {
+		disaggregated = disaggregated || g.Role != ""
 	}
 	if !disaggregated && (*prefillRouter != "" || *decodeRouter != "" || *hostHop != 0 || *transferGBps != 0) {
 		return fmt.Errorf("-prefill-router/-decode-router/-host-hop/-kv-transfer-gbps need a role-tagged fleet (e.g. -fleet GH200:2/prefill,Intel+H100:2/decode)")

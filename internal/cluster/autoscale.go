@@ -63,9 +63,10 @@ func ParseScaleSignal(name string) (ScaleSignal, error) {
 
 // AutoscaleConfig parameterizes the feedback controller.
 type AutoscaleConfig struct {
-	// Template is the serving config cloned for every spun-up instance
-	// (its TTFTSLO falls back to the fleet's, like base instances).
-	Template serve.Config
+	// Platform hosts every spun-up instance: a join is the fleet's Base
+	// serving config with this platform substituted, like a group
+	// member.
+	Platform *hw.Platform
 	// Signal selects the tracked load signal.
 	Signal ScaleSignal
 	// Target is the signal's setpoint: outstanding requests per
@@ -93,8 +94,8 @@ type AutoscaleConfig struct {
 
 func (a *AutoscaleConfig) Validate() error {
 	switch {
-	case a.Template.Platform == nil || a.Template.Model == nil:
-		return fmt.Errorf("cluster: autoscale template needs a platform and a model")
+	case a.Platform == nil:
+		return fmt.Errorf("cluster: autoscale needs a platform")
 	case a.Target <= 0:
 		return fmt.Errorf("cluster: autoscale target must be positive, got %g", a.Target)
 	case a.Signal == SignalSLOAttainment && a.Target > 1:
@@ -129,7 +130,7 @@ func (a *AutoscaleConfig) spinUp() sim.Time {
 	if a.SpinUpDelay > 0 {
 		return a.SpinUpDelay
 	}
-	if a.Template.Platform.Coupling == hw.LooselyCoupled {
+	if a.Platform.Coupling == hw.LooselyCoupled {
 		return 4 * sim.Second
 	}
 	return 2 * sim.Second
@@ -188,13 +189,13 @@ func (f *fleet) sampleFleet(now sim.Time) {
 	f.chaos.FleetSize = append(f.chaos.FleetSize, serve.SamplePoint{T: now, V: float64(act)})
 }
 
-// setupAutoscale validates the template eagerly (a broken template must
+// setupAutoscale validates the join config eagerly (a broken one must
 // fail the run at setup, not mid-simulation at first spin-up) and arms
 // the first controller tick.
 func (f *fleet) setupAutoscale() error {
 	a := f.cfg.Autoscale
-	if _, err := serve.NewInstance("autoscale-template", a.Template, sim.NewCalendar()); err != nil {
-		return fmt.Errorf("cluster: autoscale template: %w", err)
+	if _, err := serve.NewInstance("autoscale-join", f.cfg.on(a.Platform), sim.NewCalendar()); err != nil {
+		return fmt.Errorf("cluster: autoscale join on %s: %w", a.Platform.Name, err)
 	}
 	f.cal.Schedule(a.interval(), f.scaleTick)
 	return nil
@@ -287,7 +288,7 @@ func (f *fleet) join(now sim.Time) {
 	if f.err != nil {
 		return
 	}
-	in, err := f.addMember(f.cfg.Autoscale.Template, f.cfg.AutoscaleRole, true)
+	in, err := f.addMember(f.cfg.on(f.cfg.Autoscale.Platform), f.cfg.AutoscaleRole, true)
 	if err != nil {
 		f.fail(fmt.Errorf("cluster: autoscale join: %w", err))
 		return

@@ -13,7 +13,7 @@ import (
 // churn ledger must never allocate — the Report then omits it and static
 // output stays bit-identical to the pre-lifecycle path.
 func TestStaticFleetHasNilChaos(t *testing.T) {
-	st, err := Simulate(Config{Instances: mixedFleet(), Policy: RoundRobin}, testLoad(t, 20, 200, 7))
+	st, err := Simulate(mixedFleet(RoundRobin), testLoad(t, 20, 200, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestStaticFleetHasNilChaos(t *testing.T) {
 // spin-up, so growth happens inside a sub-second workload.
 func testAutoscale(target float64, max int) *AutoscaleConfig {
 	return &AutoscaleConfig{
-		Template: testServeConfig(hw.GH200()), Signal: SignalQueueDepth,
+		Platform: hw.GH200(), Signal: SignalQueueDepth,
 		Target: target, Max: max,
 		Interval: 10 * sim.Millisecond, Cooldown: 10 * sim.Millisecond,
 		SpinUpDelay: 20 * sim.Millisecond,
@@ -43,9 +43,10 @@ func TestAutoscaleGrowsAndDrains(t *testing.T) {
 	// through the cold period so shrinks actually fire.
 	reqs = append(reqs, serve.Request{ID: 1000, Arrival: 2 * sim.Second, PromptLen: 48, OutputLen: 4})
 	st, err := Simulate(Config{
-		Instances: []serve.Config{testServeConfig(hw.GH200())},
-		Policy:    LeastQueue,
-		Autoscale: testAutoscale(2, 3),
+		Groups:        []Group{{Platform: hw.GH200(), Count: 1}},
+		Base:          testServeConfig(nil),
+		PrefillPolicy: LeastQueue,
+		Autoscale:     testAutoscale(2, 3),
 	}, reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -81,6 +82,58 @@ func TestAutoscaleGrowsAndDrains(t *testing.T) {
 	}
 }
 
+// TestAutoscaleJoinsInheritBase: a spun-up instance is Base on the
+// autoscale platform — it carries Base's TTFT objective (a 1ns SLO no
+// first token can meet) and Base's prefix cache, through either door.
+func TestAutoscaleJoinsInheritBase(t *testing.T) {
+	reqs := testLoad(t, 50, 1000, 3)
+	cfg := Config{
+		Groups:        []Group{{Platform: hw.IntelH100(), Count: 1}},
+		Base:          testServeConfig(nil),
+		PrefillPolicy: LeastQueue,
+		Autoscale:     testAutoscale(2, 3),
+	}
+	cfg.Base.TTFTSLO = sim.Nanosecond
+	cfg.Base.KVCache = &serve.KVCacheConfig{BlockTokens: 16, DeviceBlocks: 64}
+	// check asserts one joined instance inherited Base and returns the
+	// requests it completed (an idle join meets no SLO vacuously).
+	check := func(door, name, platform string, st serve.Stats) int {
+		t.Helper()
+		if platform != hw.GH200Name {
+			t.Errorf("%s: joined %s runs on %s, want the autoscale platform", door, name, platform)
+		}
+		if st.SLOAttainment != 0 {
+			t.Errorf("%s: joined %s has SLO attainment %g under a 1ns base SLO", door, name, st.SLOAttainment)
+		}
+		if st.KVCache == nil {
+			t.Errorf("%s: joined %s has no prefix-cache ledger", door, name)
+		}
+		return st.Completed
+	}
+	mono, err := Simulate(cfg, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := 0
+	for _, is := range mono.Instances[1:] {
+		served += check("Simulate", is.Name, is.Platform, is.Serve)
+	}
+	if served == 0 {
+		t.Error("Simulate: no joined instance served a request")
+	}
+	split, err := SimulateDisagg(cfg, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served = 0
+	for _, is := range split.Instances[1:] {
+		served += check("SimulateDisagg", is.Name, is.Platform, is.Serve)
+	}
+	if served == 0 {
+		t.Error("SimulateDisagg: no joined instance served a request")
+	}
+}
+
 // TestScheduledCrashRequeuesInOrder: a crash mid-burst must evict the
 // victim's in-flight work and re-place it through the router, emitting
 // fault-injected → instance-gone → requeued in that exact order; the
@@ -88,13 +141,12 @@ func TestAutoscaleGrowsAndDrains(t *testing.T) {
 func TestScheduledCrashRequeuesInOrder(t *testing.T) {
 	run := func() (*Stats, []serve.Event) {
 		var events []serve.Event
-		st, err := Simulate(Config{
-			Instances: mixedFleet(), Policy: RoundRobin,
-			Observer: func(e serve.Event) { events = append(events, e) },
-			Faults: &FaultsConfig{Faults: []Fault{
-				{At: 10 * sim.Millisecond, Kind: FaultCrash, Target: 0},
-			}},
-		}, testLoad(t, 40, 2000, 11))
+		cfg := mixedFleet(RoundRobin)
+		cfg.Observer = func(e serve.Event) { events = append(events, e) }
+		cfg.Faults = &FaultsConfig{Faults: []Fault{
+			{At: 10 * sim.Millisecond, Kind: FaultCrash, Target: 0},
+		}}
+		st, err := Simulate(cfg, testLoad(t, 40, 2000, 11))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,18 +212,15 @@ func TestScheduledCrashRequeuesInOrder(t *testing.T) {
 // instance must push the horizon out versus an identical fault-free run.
 func TestSlowNodeFaultStretchesTheRun(t *testing.T) {
 	reqs := testLoad(t, 20, 400, 5)
-	base, err := Simulate(Config{
-		Instances: []serve.Config{testServeConfig(hw.GH200())}, Policy: RoundRobin,
-	}, reqs)
+	cfg := Config{Groups: []Group{{Platform: hw.GH200(), Count: 1}}, Base: testServeConfig(nil)}
+	base, err := Simulate(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slowed, err := Simulate(Config{
-		Instances: []serve.Config{testServeConfig(hw.GH200())}, Policy: RoundRobin,
-		Faults: &FaultsConfig{Faults: []Fault{
-			{At: 0, Kind: FaultSlowNode, Target: 0, Factor: 8},
-		}},
-	}, reqs)
+	cfg.Faults = &FaultsConfig{Faults: []Fault{
+		{At: 0, Kind: FaultSlowNode, Target: 0, Factor: 8},
+	}}
+	slowed, err := Simulate(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,12 +240,10 @@ func TestSlowNodeFaultStretchesTheRun(t *testing.T) {
 // counters, and every nested per-instance ledger included — run to run.
 // CI runs this under -race as well.
 func TestSeededChaosDeterministic(t *testing.T) {
-	cfg := Config{
-		Instances: mixedFleet(), Policy: LeastQueue,
-		TTFTSLO:   200 * sim.Millisecond,
-		Autoscale: testAutoscale(2, 4),
-		Faults:    &FaultsConfig{CrashRatePerSec: 10, Seed: 42},
-	}
+	cfg := mixedFleet(LeastQueue)
+	cfg.Base.TTFTSLO = 200 * sim.Millisecond
+	cfg.Autoscale = testAutoscale(2, 4)
+	cfg.Faults = &FaultsConfig{CrashRatePerSec: 10, Seed: 42}
 	a, err := Simulate(cfg, testLoad(t, 60, 300, 9))
 	if err != nil {
 		t.Fatal(err)
@@ -226,12 +273,11 @@ func TestSessionAffinityRepinsAfterCrash(t *testing.T) {
 	}
 	// Session 7's first turn pins to index 0 (least-outstanding tie
 	// breaks low); the crash lands mid-session.
-	st, err := Simulate(Config{
-		Instances: mixedFleet(), Policy: SessionAffinity,
-		Faults: &FaultsConfig{Faults: []Fault{
-			{At: 12 * sim.Millisecond, Kind: FaultCrash, Target: 0},
-		}},
-	}, reqs)
+	cfg := mixedFleet(SessionAffinity)
+	cfg.Faults = &FaultsConfig{Faults: []Fault{
+		{At: 12 * sim.Millisecond, Kind: FaultCrash, Target: 0},
+	}}
+	st, err := Simulate(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,14 +300,13 @@ func TestSessionAffinityRepinsAfterCrash(t *testing.T) {
 // fired twice at the same victim, must be deterministic no-ops — not
 // errors, not double counts.
 func TestFaultTargetNoOps(t *testing.T) {
-	st, err := Simulate(Config{
-		Instances: mixedFleet(), Policy: RoundRobin,
-		Faults: &FaultsConfig{Faults: []Fault{
-			{At: 5 * sim.Millisecond, Kind: FaultCrash, Target: 99},
-			{At: 10 * sim.Millisecond, Kind: FaultCrash, Target: 0},
-			{At: 15 * sim.Millisecond, Kind: FaultCrash, Target: 0},
-		}},
-	}, testLoad(t, 30, 1000, 13))
+	cfg := mixedFleet(RoundRobin)
+	cfg.Faults = &FaultsConfig{Faults: []Fault{
+		{At: 5 * sim.Millisecond, Kind: FaultCrash, Target: 99},
+		{At: 10 * sim.Millisecond, Kind: FaultCrash, Target: 0},
+		{At: 15 * sim.Millisecond, Kind: FaultCrash, Target: 0},
+	}}
+	st, err := Simulate(cfg, testLoad(t, 30, 1000, 13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,10 +360,10 @@ func TestFaultsConfigValidate(t *testing.T) {
 // member still accepts; that last accepting member itself is spared.
 func TestRandomCrashSurvivability(t *testing.T) {
 	reqs := testLoad(t, 4, 100, 3)
-	f, err := newFleet(DisaggConfig{
-		PrefillPolicy: LeastQueue, DecodePolicy: LeastQueue,
-		Faults: &FaultsConfig{CrashRatePerSec: 0},
-	}, false, mixedFleet(), nil, reqs)
+	cfg := mixedFleet(LeastQueue)
+	cfg.Faults = &FaultsConfig{CrashRatePerSec: 0}
+	instances, _ := cfg.members()
+	f, err := newFleet(cfg, false, instances, nil, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,102 +38,33 @@ package cluster
 import (
 	"fmt"
 
+	"github.com/skipsim/skip/internal/hw"
 	"github.com/skipsim/skip/internal/serve"
 	"github.com/skipsim/skip/internal/sim"
 )
 
-// Config parameterizes a monolithic cluster simulation.
+// Config parameterizes a fleet simulation: Groups expanded over Base,
+// run as one monolithic pool (Simulate) or as prefill and decode pools
+// joined by KV transfer links (SimulateDisagg).
 type Config struct {
-	// Instances holds one serving config per instance. Every config
-	// must use a continuous policy (ContinuousBatch or ChunkedPrefill);
-	// platforms may differ freely — that heterogeneity is the point.
-	Instances []serve.Config
-	// Policy selects the routing policy (default RoundRobin).
-	Policy Policy
-	// ShortPrompt is the platform-aware policy's regime boundary in
-	// prompt tokens: requests at or below it prefer coupled instances
-	// (default 512).
-	ShortPrompt int64
-	// TTFTSLO is the fleet-level time-to-first-token objective for
-	// aggregate goodput accounting; it is also copied into instance
-	// configs that set none of their own (0 disables).
-	TTFTSLO sim.Time
-	// AdmitRatePerSec enables token-bucket admission control: requests
-	// beyond this sustained rate are rejected at the front door instead
-	// of queueing (0 disables).
-	AdmitRatePerSec float64
-	// AdmitBurst is the bucket depth in requests (default: one second's
-	// refill, minimum 1).
-	AdmitBurst float64
-	// Observer, when set, receives front-door events (routed, rejected,
-	// unroutable) plus every instance's lifecycle events with the
-	// instance name stamped in. Per-instance observers set on the
-	// instance configs still fire independently.
-	Observer serve.Observer
-	// Autoscale, when set, grows and shrinks the fleet against a load
-	// signal while the simulation runs (see AutoscaleConfig). Nil keeps
-	// the fleet static — the pre-refactor behavior, bit for bit.
-	Autoscale *AutoscaleConfig
-	// Faults, when set, injects instance crashes and slow-node
-	// multipliers on schedule or at seeded-random instants (see
-	// FaultsConfig). Nil injects nothing.
-	Faults *FaultsConfig
-	// CounterfactualK, when positive, records every routing decision
-	// with up to K scored alternatives and counterfactual policy
-	// replays in Stats.Routing. Zero keeps recording off and the
-	// Routing section absent — the pre-feature report, bit for bit.
-	CounterfactualK int
-}
-
-func (c *Config) validate() error {
-	if len(c.Instances) == 0 {
-		return fmt.Errorf("cluster: config needs at least one instance")
-	}
-	for i := range c.Instances {
-		if c.Instances[i].Platform == nil {
-			return fmt.Errorf("cluster: instance %d needs a platform", i)
-		}
-	}
-	return validateShared(c.AdmitRatePerSec, c.Autoscale, c.Faults, false)
-}
-
-// validateShared checks the knobs every fleet shares; split reports
-// whether the fleet has separate pools joined by transfer links.
-func validateShared(admitRate float64, a *AutoscaleConfig, fc *FaultsConfig, split bool) error {
-	if admitRate < 0 {
-		return fmt.Errorf("cluster: admission rate must be non-negative, got %g", admitRate)
-	}
-	if a != nil {
-		if err := a.Validate(); err != nil {
-			return err
-		}
-		if a.Signal == SignalTransferQueue && !split {
-			return fmt.Errorf("cluster: the transfer-queue signal applies to disaggregated fleets only")
-		}
-	}
-	if fc != nil {
-		return fc.Validate(split)
-	}
-	return nil
-}
-
-// DisaggConfig parameterizes a disaggregated fleet simulation.
-type DisaggConfig struct {
-	// Groups lists the fleet's slices with their roles. At least one
+	// Groups lists the fleet's slices. A monolithic fleet's groups carry
+	// no role (RoleBoth); a disaggregated fleet needs at least one
 	// prefill-capable (prefill|both) and one decode-capable
-	// (decode|both) group are required.
-	Groups []DisaggGroup
+	// (decode|both) group.
+	Groups []Group
 	// Base is the serving config every instance inherits (model, policy,
 	// KV knobs, SLO) with its group's platform substituted; it must use
-	// a continuous policy.
+	// a continuous policy. Its TTFTSLO is also the fleet objective for
+	// goodput accounting (0 disables).
 	Base serve.Config
-	// PrefillPolicy places fresh arrivals on the prefill pool. Like
-	// Config's Policy, the zero value is RoundRobin; the spec front
-	// door (fleet.disaggregation) defaults to least-queue instead.
+	// PrefillPolicy places fresh arrivals on the prefill pool — the
+	// whole fleet when monolithic. The zero value is RoundRobin; the
+	// spec front door defaults to least-queue instead.
 	PrefillPolicy Policy
-	// DecodePolicy places completed prefills on the decode pool. Zero
-	// value RoundRobin; the spec front door defaults to least-kv —
-	// decode placement is a KV-capacity decision.
+	// DecodePolicy places completed prefills on the decode pool
+	// (disaggregated fleets only). Zero value RoundRobin; the spec
+	// front door defaults to least-kv — decode placement is a
+	// KV-capacity decision.
 	DecodePolicy Policy
 	// LinkAwareDecode, when set, overrides DecodePolicy's pick with a
 	// transfer-aware one: each handoff goes to the fitting decode
@@ -148,9 +79,6 @@ type DisaggConfig struct {
 	ShortPrompt int64
 	// Transfer prices the KV handoff between pools.
 	Transfer TransferModel
-	// TTFTSLO is the fleet time-to-first-token objective for goodput
-	// accounting (also copied into instance configs that set none).
-	TTFTSLO sim.Time
 	// AdmitRatePerSec / AdmitBurst enable token-bucket admission control
 	// at the front door (0 disables).
 	AdmitRatePerSec float64
@@ -164,22 +92,22 @@ type DisaggConfig struct {
 	// against a load signal while the simulation runs; disaggregated
 	// fleets additionally support the transfer-queue signal (pending KV
 	// transfers per active decode-capable instance). Nil keeps the
-	// fleet static — the pre-refactor behavior, bit for bit.
+	// fleet static.
 	Autoscale *AutoscaleConfig
-	// AutoscaleRole names the pool the controller scales. The zero value
-	// is RoleBoth (spun-up instances serve end to end); the spec front
-	// door defaults to "decode" instead — decode capacity is what
-	// transfer pressure starves.
+	// AutoscaleRole names the pool the controller scales in a
+	// disaggregated fleet. The zero value is RoleBoth (spun-up instances
+	// serve end to end); the spec front door defaults to "decode"
+	// instead — decode capacity is what transfer pressure starves.
 	AutoscaleRole Role
 	// Faults, when set, injects crashes, slow-node multipliers, and
 	// degraded-link faults (see FaultsConfig; Target and Dst index the
 	// flattened member list in group order).
 	Faults *FaultsConfig
-	// CounterfactualK, when positive, records every prefill- and
-	// decode-pool routing decision with up to K scored alternatives and
-	// counterfactual policy replays (DisaggStats.PrefillRouting /
+	// CounterfactualK, when positive, records every routing decision
+	// with up to K scored alternatives and counterfactual policy
+	// replays (Stats.Routing; DisaggStats.PrefillRouting /
 	// DecodeRouting). Decode records carry the chosen link's FIFO
-	// backlog at pick time. Zero keeps recording off and both sections
+	// backlog at pick time. Zero keeps recording off and the sections
 	// absent.
 	CounterfactualK int
 }
@@ -187,7 +115,7 @@ type DisaggConfig struct {
 // transfersPossible reports whether a prefill-only member — the only
 // source of KV handoffs — can exist: a prefill group, or an autoscaler
 // that mints prefill instances mid-run.
-func (c *DisaggConfig) transfersPossible() bool {
+func (c *Config) transfersPossible() bool {
 	for _, g := range c.Groups {
 		if g.Role == RolePrefill {
 			return true
@@ -198,8 +126,8 @@ func (c *DisaggConfig) transfersPossible() bool {
 
 // validate checks the config; split reports whether the groups form
 // separate prefill and decode pools (SimulateDisagg) or one monolithic
-// pool (SimulateMonolithic).
-func (c *DisaggConfig) validate(split bool) error {
+// pool (Simulate).
+func (c *Config) validate(split bool) error {
 	if err := c.Transfer.validate(); err != nil {
 		return err
 	}
@@ -244,66 +172,60 @@ func (c *DisaggConfig) validate(split bool) error {
 	if c.Base.Model == nil {
 		return fmt.Errorf("cluster: base config needs a model")
 	}
-	if err := validateShared(c.AdmitRatePerSec, c.Autoscale, c.Faults, split); err != nil {
-		return err
+	if c.AdmitRatePerSec < 0 {
+		return fmt.Errorf("cluster: admission rate must be non-negative, got %g", c.AdmitRatePerSec)
 	}
-	// An autoscaled instance can be a transfer endpoint too (source
-	// when scaling prefill, destination when scaling decode or both), so
-	// its platform faces the same zero-bandwidth trap as the base
-	// groups.
-	if transfers && c.Autoscale != nil && c.Transfer.BandwidthGBps == 0 && c.Autoscale.Template.Platform.IC.BandwidthGBps <= 0 {
-		return fmt.Errorf("cluster: autoscale template platform %q has no interconnect bandwidth to price KV transfers; set Transfer.BandwidthGBps or give the platform a positive IC bandwidth", c.Autoscale.Template.Platform.Name)
+	if a := c.Autoscale; a != nil {
+		if err := a.Validate(); err != nil {
+			return err
+		}
+		if a.Signal == SignalTransferQueue && !split {
+			return fmt.Errorf("cluster: the transfer-queue signal applies to disaggregated fleets only")
+		}
+		// An autoscaled instance can be a transfer endpoint too (source
+		// when scaling prefill, destination when scaling decode or
+		// both), so its platform faces the same zero-bandwidth trap as
+		// the base groups.
+		if transfers && c.Transfer.BandwidthGBps == 0 && a.Platform.IC.BandwidthGBps <= 0 {
+			return fmt.Errorf("cluster: autoscale platform %q has no interconnect bandwidth to price KV transfers; set Transfer.BandwidthGBps or give the platform a positive IC bandwidth", a.Platform.Name)
+		}
+	}
+	if c.Faults != nil {
+		return c.Faults.Validate(split)
 	}
 	return nil
 }
 
+// on is Base with platform p substituted: the serving config of every
+// group member and autoscaled join.
+func (c *Config) on(p *hw.Platform) serve.Config {
+	icfg := c.Base
+	icfg.Platform = p
+	return icfg
+}
+
 // members expands the groups over Base, in group order.
-func (c *DisaggConfig) members() ([]serve.Config, []Role) {
+func (c *Config) members() ([]serve.Config, []Role) {
 	var cfgs []serve.Config
 	var roles []Role
 	for _, g := range c.Groups {
 		for k := 0; k < g.Count; k++ {
-			icfg := c.Base
-			icfg.Platform = g.Platform
-			cfgs = append(cfgs, icfg)
+			cfgs = append(cfgs, c.on(g.Platform))
 			roles = append(roles, g.Role)
 		}
 	}
 	return cfgs, roles
 }
 
-// Simulate runs a monolithic fleet over the request stream and returns
-// fleet-level statistics. Requests are routed at their arrival instant
-// against the instances' live scheduler state; the whole simulation —
-// autoscaling and fault injection included — is deterministic for a
-// fixed stream and config.
-func Simulate(cfg Config, requests []serve.Request) (*Stats, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	st, err := simulate(DisaggConfig{
-		PrefillPolicy:   cfg.Policy,
-		ShortPrompt:     cfg.ShortPrompt,
-		TTFTSLO:         cfg.TTFTSLO,
-		AdmitRatePerSec: cfg.AdmitRatePerSec,
-		AdmitBurst:      cfg.AdmitBurst,
-		Observer:        cfg.Observer,
-		Autoscale:       cfg.Autoscale,
-		Faults:          cfg.Faults,
-		CounterfactualK: cfg.CounterfactualK,
-	}, false, cfg.Instances, nil, requests)
-	if err != nil {
-		return nil, err
-	}
-	return st.monolithic(), nil
-}
-
-// SimulateMonolithic runs cfg's groups, expanded over Base, as one
-// monolithic pool routed by PrefillPolicy — the fleet a spec without a
-// fleet.disaggregation section describes. Groups must carry no roles;
+// Simulate runs cfg's groups, expanded over Base, as one monolithic
+// pool routed by PrefillPolicy — the fleet a spec without a
+// fleet.disaggregation section describes — and returns fleet-level
+// statistics. Requests are routed at their arrival instant against the
+// instances' live scheduler state. Groups must carry no roles;
 // DecodePolicy, LinkAwareDecode, Transfer and AutoscaleRole do not
-// apply.
-func SimulateMonolithic(cfg DisaggConfig, requests []serve.Request) (*Stats, error) {
+// apply. The whole simulation — autoscaling and fault injection
+// included — is deterministic for a fixed stream and config.
+func Simulate(cfg Config, requests []serve.Request) (*Stats, error) {
 	if err := cfg.validate(false); err != nil {
 		return nil, err
 	}
@@ -321,7 +243,7 @@ func SimulateMonolithic(cfg DisaggConfig, requests []serve.Request) (*Stats, err
 // prefill completion is matched by exactly one decode completion or a
 // reported drop. The whole simulation — autoscaling and fault injection
 // included — is deterministic for a fixed stream and config.
-func SimulateDisagg(cfg DisaggConfig, requests []serve.Request) (*DisaggStats, error) {
+func SimulateDisagg(cfg Config, requests []serve.Request) (*DisaggStats, error) {
 	if err := cfg.validate(true); err != nil {
 		return nil, err
 	}
@@ -330,8 +252,10 @@ func SimulateDisagg(cfg DisaggConfig, requests []serve.Request) (*DisaggStats, e
 }
 
 // simulate builds the fleet, runs its calendar dry, and returns the
-// checked statistics.
-func simulate(cfg DisaggConfig, split bool, instances []serve.Config, roles []Role, requests []serve.Request) (*DisaggStats, error) {
+// checked statistics. instances[i] joins with roles[i]; the front doors
+// pass cfg's expanded groups, and tests pass hand-built instances that
+// need per-instance knobs.
+func simulate(cfg Config, split bool, instances []serve.Config, roles []Role, requests []serve.Request) (*DisaggStats, error) {
 	if len(requests) == 0 {
 		return nil, fmt.Errorf("cluster: no requests")
 	}

@@ -26,12 +26,24 @@ func gpt2KVBytesPerToken() float64 {
 	return float64(2 * m.Layers * m.KVDim() * 2)
 }
 
-// mixedFleet is a 1+1 heterogeneous fleet (coupled + loosely coupled).
-func mixedFleet() []serve.Config {
-	return []serve.Config{
-		testServeConfig(hw.GH200()),
-		testServeConfig(hw.IntelH100()),
+// mixedFleet is a 1+1 heterogeneous fleet (coupled + loosely coupled)
+// routed by policy.
+func mixedFleet(policy Policy) Config {
+	return Config{
+		Groups:        []Group{{Platform: hw.GH200(), Count: 1}, {Platform: hw.IntelH100(), Count: 1}},
+		Base:          testServeConfig(nil),
+		PrefillPolicy: policy,
 	}
+}
+
+// simulateInstances runs cfg as a monolithic fleet over hand-built
+// instances — the seam for tests that need per-instance knobs.
+func simulateInstances(cfg Config, instances []serve.Config, reqs []serve.Request) (*Stats, error) {
+	st, err := simulate(cfg, false, instances, nil, reqs)
+	if err != nil {
+		return nil, err
+	}
+	return st.monolithic(), nil
 }
 
 func testLoad(t *testing.T, n int, rate float64, seed int64) []serve.Request {
@@ -49,7 +61,7 @@ func testLoad(t *testing.T, n int, rate float64, seed int64) []serve.Request {
 
 func TestClusterRoundRobinSpreadsLoad(t *testing.T) {
 	reqs := testLoad(t, 20, 200, 7)
-	st, err := Simulate(Config{Instances: mixedFleet(), Policy: RoundRobin}, reqs)
+	st, err := Simulate(mixedFleet(RoundRobin), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +88,9 @@ func TestClusterRoundRobinSpreadsLoad(t *testing.T) {
 // reproduces byte-identical fleet statistics, including every nested
 // per-instance series.
 func TestClusterDeterministic(t *testing.T) {
-	cfg := Config{
-		Instances: mixedFleet(), Policy: LeastQueue,
-		TTFTSLO: 200 * sim.Millisecond, AdmitRatePerSec: 150, AdmitBurst: 5,
-	}
+	cfg := mixedFleet(LeastQueue)
+	cfg.Base.TTFTSLO = 200 * sim.Millisecond
+	cfg.AdmitRatePerSec, cfg.AdmitBurst = 150, 5
 	a, err := Simulate(cfg, testLoad(t, 40, 300, 11))
 	if err != nil {
 		t.Fatal(err)
@@ -97,14 +108,12 @@ func TestClusterDeterministic(t *testing.T) {
 // — admission rejections, unroutable giants, queueing, preemption, and
 // abandonment — and checks the request ledger still balances exactly.
 func TestClusterReconciliationUnderPressure(t *testing.T) {
-	bpt := gpt2KVBytesPerToken()
-	fleet := mixedFleet()
-	for i := range fleet {
-		fleet[i].KVCapacityBytes = 110 * bpt // ~one request at a time
-		fleet[i].AbandonAfter = 3 * sim.Millisecond
-		fleet[i].DefaultOutputLen = 10
-		fleet[i].Seq = 32
-	}
+	cfg := mixedFleet(LeastKV)
+	cfg.Base.KVCapacityBytes = 110 * gpt2KVBytesPerToken() // ~one request at a time
+	cfg.Base.AbandonAfter = 3 * sim.Millisecond
+	cfg.Base.DefaultOutputLen = 10
+	cfg.Base.Seq = 32
+	cfg.AdmitRatePerSec, cfg.AdmitBurst = 100, 2
 	reqs := testLoad(t, 30, 400, 3)
 	for i := range reqs {
 		reqs[i].PromptLen = 32
@@ -114,10 +123,7 @@ func TestClusterReconciliationUnderPressure(t *testing.T) {
 	// the still-full admission bucket passes it through to the router.
 	reqs = append(reqs, serve.Request{ID: 1000, Arrival: 0, PromptLen: 500, OutputLen: 10})
 
-	st, err := Simulate(Config{
-		Instances: fleet, Policy: LeastKV,
-		AdmitRatePerSec: 100, AdmitBurst: 2,
-	}, reqs)
+	st, err := Simulate(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,14 +197,15 @@ func TestClusterSessionAffinityPinsSessions(t *testing.T) {
 }
 
 func TestClusterPlatformAwareSplitsRegimes(t *testing.T) {
-	fleet := mixedFleet() // instance 0 coupled (GH200), instance 1 loose (Intel+H100)
+	cfg := mixedFleet(PlatformAware) // instance 0 coupled (GH200), instance 1 loose (Intel+H100)
+	cfg.ShortPrompt = 512
 	reqs := []serve.Request{
 		{ID: 0, Arrival: 0, PromptLen: 64, OutputLen: 2},
 		{ID: 1, Arrival: sim.Millisecond, PromptLen: 900, OutputLen: 2},
 		{ID: 2, Arrival: 2 * sim.Millisecond, PromptLen: 128, OutputLen: 2},
 		{ID: 3, Arrival: 3 * sim.Millisecond, PromptLen: 700, OutputLen: 2},
 	}
-	st, err := Simulate(Config{Instances: fleet, Policy: PlatformAware, ShortPrompt: 512}, reqs)
+	st, err := Simulate(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +220,9 @@ func TestClusterPlatformAwareSplitsRegimes(t *testing.T) {
 
 func TestClusterPlatformAwareFallsBackAcrossGroups(t *testing.T) {
 	bpt := gpt2KVBytesPerToken()
-	fleet := mixedFleet()
+	cfg := mixedFleet(PlatformAware)
+	cfg.ShortPrompt = 512
+	fleet, _ := cfg.members()
 	fleet[0].KVCapacityBytes = 100 * bpt // coupled budget too small for long prompts
 	fleet[1].KVCapacityBytes = 1000 * bpt
 	// A short prompt prefers the coupled instance; a long prompt
@@ -223,7 +232,7 @@ func TestClusterPlatformAwareFallsBackAcrossGroups(t *testing.T) {
 	reqs := []serve.Request{
 		{ID: 0, Arrival: 0, PromptLen: 300, OutputLen: 2}, // short boundary is 512 but exceeds coupled budget
 	}
-	st, err := Simulate(Config{Instances: fleet, Policy: PlatformAware, ShortPrompt: 512}, reqs)
+	st, err := simulateInstances(cfg, fleet, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +243,12 @@ func TestClusterPlatformAwareFallsBackAcrossGroups(t *testing.T) {
 
 func TestClusterLeastKVPrefersEmptierBudget(t *testing.T) {
 	bpt := gpt2KVBytesPerToken()
-	fleet := mixedFleet()
+	cfg := mixedFleet(LeastKV)
+	fleet, _ := cfg.members()
 	fleet[0].KVCapacityBytes = 200 * bpt  // small budget: pressure rises fast
 	fleet[1].KVCapacityBytes = 2000 * bpt // ten times the headroom
 	reqs := testLoad(t, 16, 400, 5)
-	st, err := Simulate(Config{Instances: fleet, Policy: LeastKV}, reqs)
+	st, err := simulateInstances(cfg, fleet, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,48 +285,6 @@ func TestTokenBucket(t *testing.T) {
 	}
 }
 
-func TestParseFleet(t *testing.T) {
-	groups, err := ParseFleet("GH200:2,Intel+H100:3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 2 || groups[0].Platform.Name != hw.GH200Name || groups[0].Count != 2 ||
-		groups[1].Platform.Name != hw.IntelH100Name || groups[1].Count != 3 {
-		t.Errorf("groups = %+v", groups)
-	}
-	cfgs, err := FleetConfigs(groups, testServeConfig(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cfgs) != 5 {
-		t.Fatalf("expanded %d configs, want 5", len(cfgs))
-	}
-	if cfgs[0].Platform.Name != hw.GH200Name || cfgs[4].Platform.Name != hw.IntelH100Name {
-		t.Errorf("platform order broken: %s … %s", cfgs[0].Platform.Name, cfgs[4].Platform.Name)
-	}
-	for _, bad := range []string{"", "GH200", "GH200:0", "GH200:-1", "GH200:x", "NoSuch:2",
-		"GH200:2,GH200:2"} {
-		if _, err := ParseFleet(bad); err == nil {
-			t.Errorf("ParseFleet(%q) should fail", bad)
-		}
-	}
-}
-
-func TestFleetConfigsRejectsDegenerateGroups(t *testing.T) {
-	base := testServeConfig(nil)
-	for name, groups := range map[string][]FleetGroup{
-		"empty":         nil,
-		"zero count":    {{Platform: hw.GH200(), Count: 0}},
-		"negative":      {{Platform: hw.GH200(), Count: -3}},
-		"nil platform":  {{Platform: nil, Count: 2}},
-		"mixed one bad": {{Platform: hw.GH200(), Count: 2}, {Platform: hw.IntelH100(), Count: 0}},
-	} {
-		if _, err := FleetConfigs(groups, base); err == nil {
-			t.Errorf("FleetConfigs(%s) should fail instead of producing a silent empty/truncated fleet", name)
-		}
-	}
-}
-
 func TestRouterPolicyRoundTrip(t *testing.T) {
 	for _, p := range Policies() {
 		got, err := ParsePolicy(p.String())
@@ -344,35 +312,79 @@ func TestRouterPolicyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestClusterValidation(t *testing.T) {
-	if _, err := Simulate(Config{}, []serve.Request{{ID: 0}}); err == nil {
-		t.Error("empty fleet should fail")
+// TestConfigRejectsDegenerateFleets: a fleet that cannot run is
+// rejected up front, through either door, instead of simulating a
+// silently empty, truncated or nonsensical fleet.
+func TestConfigRejectsDegenerateFleets(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+		// monolithicOnly marks inputs a disaggregated fleet accepts.
+		monolithicOnly bool
+	}{
+		{name: "no groups", mutate: func(c *Config) { c.Groups = nil }},
+		{name: "zero count", mutate: func(c *Config) { c.Groups[0].Count = 0 }},
+		{name: "negative count", mutate: func(c *Config) { c.Groups[0].Count = -3 }},
+		{name: "nil platform", mutate: func(c *Config) { c.Groups[1].Platform = nil }},
+		{name: "one bad group among good ones", mutate: func(c *Config) {
+			c.Groups = append(c.Groups, Group{Platform: hw.AMDA100(), Count: 0})
+		}},
+		{name: "nil base model", mutate: func(c *Config) { c.Base.Model = nil }},
+		{name: "negative admit rate", mutate: func(c *Config) { c.AdmitRatePerSec = -1 }},
+		{name: "autoscale without platform", mutate: func(c *Config) {
+			c.Autoscale = testAutoscale(2, 3)
+			c.Autoscale.Platform = nil
+		}},
+		// The transfer-queue signal reads KV handoffs, which a
+		// monolithic fleet never makes.
+		{name: "transfer-queue signal", monolithicOnly: true, mutate: func(c *Config) {
+			c.Autoscale = testAutoscale(2, 3)
+			c.Autoscale.Signal = SignalTransferQueue
+		}},
 	}
-	if _, err := Simulate(Config{Instances: mixedFleet()}, nil); err == nil {
-		t.Error("no requests should fail")
+	reqs := []serve.Request{{ID: 0, PromptLen: 16, OutputLen: 2}}
+	// Each case breaks a fleet both doors accept.
+	if _, err := Simulate(mixedFleet(RoundRobin), reqs); err != nil {
+		t.Fatal(err)
 	}
-	bad := mixedFleet()
-	bad[1].Platform = nil
-	if _, err := Simulate(Config{Instances: bad}, []serve.Request{{ID: 0}}); err == nil {
-		t.Error("nil platform should fail")
+	if _, err := SimulateDisagg(mixedFleet(RoundRobin), reqs); err != nil {
+		t.Fatal(err)
 	}
-	legacy := mixedFleet()
-	legacy[0].Policy = serve.GreedyBatch
-	if _, err := Simulate(Config{Instances: legacy}, []serve.Request{{ID: 0}}); err == nil ||
-		!strings.Contains(err.Error(), "continuous") {
-		t.Error("legacy batching policies cannot join a cluster")
-	}
-	if _, err := Simulate(Config{Instances: mixedFleet(), AdmitRatePerSec: -1}, []serve.Request{{ID: 0}}); err == nil {
-		t.Error("negative admission rate should fail")
+	for _, tc := range cases {
+		cfg := mixedFleet(RoundRobin)
+		tc.mutate(&cfg)
+		if _, err := Simulate(cfg, reqs); err == nil {
+			t.Errorf("Simulate(%s) should fail", tc.name)
+		}
+		if tc.monolithicOnly {
+			continue
+		}
+		cfg = mixedFleet(RoundRobin)
+		tc.mutate(&cfg)
+		if _, err := SimulateDisagg(cfg, reqs); err == nil {
+			t.Errorf("SimulateDisagg(%s) should fail", tc.name)
+		}
 	}
 }
 
-// TestClusterSLOPropagation: the fleet SLO reaches instances that set
-// none, and fleet goodput never exceeds throughput.
+func TestClusterValidation(t *testing.T) {
+	if _, err := Simulate(mixedFleet(RoundRobin), nil); err == nil {
+		t.Error("no requests should fail")
+	}
+	legacy := mixedFleet(RoundRobin)
+	legacy.Base.Policy = serve.GreedyBatch
+	if _, err := Simulate(legacy, []serve.Request{{ID: 0}}); err == nil ||
+		!strings.Contains(err.Error(), "continuous") {
+		t.Error("legacy batching policies cannot join a cluster")
+	}
+}
+
+// TestClusterSLOPropagation: Base's SLO is both the fleet objective and
+// every instance's, and fleet goodput never exceeds throughput.
 func TestClusterSLOPropagation(t *testing.T) {
-	st, err := Simulate(Config{
-		Instances: mixedFleet(), Policy: LeastQueue, TTFTSLO: sim.Nanosecond,
-	}, testLoad(t, 10, 100, 2))
+	tight := mixedFleet(LeastQueue)
+	tight.Base.TTFTSLO = sim.Nanosecond
+	st, err := Simulate(tight, testLoad(t, 10, 100, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,9 +396,9 @@ func TestClusterSLOPropagation(t *testing.T) {
 			t.Errorf("%s did not inherit the fleet SLO", is.Name)
 		}
 	}
-	loose, err := Simulate(Config{
-		Instances: mixedFleet(), Policy: LeastQueue, TTFTSLO: 3600 * sim.Second,
-	}, testLoad(t, 10, 100, 2))
+	lax := mixedFleet(LeastQueue)
+	lax.Base.TTFTSLO = 3600 * sim.Second
+	loose, err := Simulate(lax, testLoad(t, 10, 100, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

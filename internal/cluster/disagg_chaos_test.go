@@ -25,9 +25,9 @@ func TestDisaggStaticNilChaos(t *testing.T) {
 
 // chaosConfig is a 2+2 fleet sized so crashes in either pool leave a
 // survivor.
-func chaosConfig() DisaggConfig {
+func chaosConfig() Config {
 	c := testConfig()
-	c.Groups = []DisaggGroup{
+	c.Groups = []Group{
 		{Platform: hw.GH200(), Count: 2, Role: RolePrefill},
 		{Platform: hw.IntelH100(), Count: 2, Role: RoleDecode},
 	}
@@ -219,15 +219,13 @@ func TestMidTransferDestinationDeath(t *testing.T) {
 // spun-up instances must actually absorb resumes.
 func TestDisaggAutoscaleGrowsDecodePool(t *testing.T) {
 	cfg := testConfig()
-	cfg.Groups = []DisaggGroup{
+	cfg.Groups = []Group{
 		{Platform: hw.GH200(), Count: 2, Role: RolePrefill},
 		{Platform: hw.IntelH100(), Count: 1, Role: RoleDecode},
 	}
 	cfg.Transfer.BandwidthGBps = 0.1 // slow wire: transfers queue up
-	tmpl := testBase()
-	tmpl.Platform = hw.IntelH100()
 	cfg.Autoscale = &AutoscaleConfig{
-		Template: tmpl, Signal: SignalTransferQueue,
+		Platform: hw.IntelH100(), Signal: SignalTransferQueue,
 		Target: 0.5, Max: 3,
 		Interval: 20 * sim.Millisecond, Cooldown: 20 * sim.Millisecond,
 		SpinUpDelay: 40 * sim.Millisecond,
@@ -265,12 +263,10 @@ func TestDisaggAutoscaleGrowsDecodePool(t *testing.T) {
 // churn ledger, transfer economics, and per-instance series included —
 // run to run. CI runs this under -race as well.
 func TestDisaggSeededChaosDeterministic(t *testing.T) {
-	mk := func() DisaggConfig {
+	mk := func() Config {
 		cfg := chaosConfig()
-		tmpl := testBase()
-		tmpl.Platform = hw.IntelH100()
 		cfg.Autoscale = &AutoscaleConfig{
-			Template: tmpl, Signal: SignalQueueDepth,
+			Platform: hw.IntelH100(), Signal: SignalQueueDepth,
 			Target: 2, Max: 4,
 			Interval: 20 * sim.Millisecond, Cooldown: 20 * sim.Millisecond,
 			SpinUpDelay: 40 * sim.Millisecond,

@@ -11,7 +11,8 @@ import (
 	"github.com/skipsim/skip/internal/sim"
 )
 
-// testBase is a small, fast per-instance serving config.
+// testBase is a small, fast per-instance serving config with a 500 ms
+// TTFT objective.
 func testBase() serve.Config {
 	m, err := models.ByName("llama-3.2-1B")
 	if err != nil {
@@ -23,6 +24,7 @@ func testBase() serve.Config {
 		Seq:           512,
 		MaxBatch:      16,
 		LatencyBucket: 256,
+		TTFTSLO:       500 * sim.Millisecond,
 	}
 }
 
@@ -40,16 +42,15 @@ func testWorkload(t *testing.T, n int) []serve.Request {
 	return reqs
 }
 
-func testConfig() DisaggConfig {
-	return DisaggConfig{
-		Groups: []DisaggGroup{
+func testConfig() Config {
+	return Config{
+		Groups: []Group{
 			{Platform: hw.GH200(), Count: 1, Role: RolePrefill},
 			{Platform: hw.IntelH100(), Count: 2, Role: RoleDecode},
 		},
 		Base:          testBase(),
 		PrefillPolicy: LeastQueue,
 		DecodePolicy:  LeastKV,
-		TTFTSLO:       500 * sim.Millisecond,
 	}
 }
 
@@ -116,7 +117,7 @@ func TestZeroBandwidthPlatformRejected(t *testing.T) {
 	}
 
 	cfg := testConfig()
-	cfg.Groups = []DisaggGroup{
+	cfg.Groups = []Group{
 		{Platform: unified, Count: 1, Role: RolePrefill},
 		{Platform: hw.IntelH100(), Count: 1, Role: RoleDecode},
 	}
@@ -143,7 +144,7 @@ func TestZeroBandwidthPlatformRejected(t *testing.T) {
 	// source, no transfers — so the unpriceable link is irrelevant and
 	// the fleet stays legal without an override.
 	cfg.Transfer.BandwidthGBps = 0
-	cfg.Groups = []DisaggGroup{
+	cfg.Groups = []Group{
 		{Platform: unified, Count: 1, Role: RoleBoth},
 		{Platform: hw.IntelH100(), Count: 1, Role: RoleBoth},
 	}
@@ -271,39 +272,27 @@ func TestSimulateEvents(t *testing.T) {
 }
 
 // TestSimulateBothRolesMatchCluster: a fleet of RoleBoth groups is
-// monolithic serving — it must reproduce the monolithic Simulate exactly
-// (per-pool policies and the transfer model never engage).
+// monolithic serving — the same Config through SimulateDisagg must
+// reproduce Simulate exactly (per-pool policies and the transfer model
+// never engage).
 func TestSimulateBothRolesMatchCluster(t *testing.T) {
 	reqs := testWorkload(t, 24)
-	dcfg := DisaggConfig{
-		Groups: []DisaggGroup{
+	cfg := Config{
+		Groups: []Group{
 			{Platform: hw.GH200(), Count: 1, Role: RoleBoth},
 			{Platform: hw.IntelH100(), Count: 1, Role: RoleBoth},
 		},
 		Base:          testBase(),
 		PrefillPolicy: LeastQueue,
-		TTFTSLO:       500 * sim.Millisecond,
 	}
-	dst, err := SimulateDisagg(dcfg, reqs)
+	dst, err := SimulateDisagg(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dst.HandedOff != 0 || dst.Transfers != 0 {
 		t.Fatalf("RoleBoth fleet handed off %d / transferred %d", dst.HandedOff, dst.Transfers)
 	}
-
-	base := testBase()
-	ccfg := Config{
-		Instances: nil,
-		Policy:    LeastQueue,
-		TTFTSLO:   500 * sim.Millisecond,
-	}
-	for _, p := range []*hw.Platform{hw.GH200(), hw.IntelH100()} {
-		icfg := base
-		icfg.Platform = p
-		ccfg.Instances = append(ccfg.Instances, icfg)
-	}
-	cst, err := Simulate(ccfg, reqs)
+	cst, err := Simulate(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,8 +312,8 @@ func TestTransferDropReported(t *testing.T) {
 	small.Name = "Tiny+H100"
 	small.GPU.HBMGB = 4 // ~1.2 GB of KV budget after fp16 weights
 
-	cfg := DisaggConfig{
-		Groups: []DisaggGroup{
+	cfg := Config{
+		Groups: []Group{
 			{Platform: hw.GH200(), Count: 1, Role: RolePrefill},
 			{Platform: small, Count: 1, Role: RoleDecode},
 		},

@@ -28,15 +28,15 @@ type pool struct {
 }
 
 // fleet is one in-flight fleet simulation — the one engine behind
-// Simulate, SimulateMonolithic and SimulateDisagg: the shared calendar,
-// the mutable membership with its pools, the optional transfer links,
-// and the churn ledger. Membership is index-stable — members and pools
+// Simulate and SimulateDisagg: the shared calendar, the mutable
+// membership with its pools, the optional transfer links, and the
+// churn ledger. Membership is index-stable — members and pools
 // only grow (autoscale joins append) and departed instances stay in
 // place as Stopped, filtered by the routers' Accepting checks — so
 // session pins, the round-robin cursors, and per-instance statistics
 // never reindex under churn.
 type fleet struct {
-	cfg DisaggConfig
+	cfg Config
 	// split gives prefill and decode their own pools, routers and
 	// recorders, and names members <platform>/<role>#<i>. Without it
 	// one pool serves both phases and members are <platform>#<i>.
@@ -87,7 +87,7 @@ type fleet struct {
 // newFleet builds the fleet on a fresh calendar: instances[i] joins
 // with roles[i] (RoleBoth when roles is nil), and the autoscale tick and
 // fault plan are armed. Arrivals are not yet scheduled.
-func newFleet(cfg DisaggConfig, split bool, instances []serve.Config, roles []Role, requests []serve.Request) (*fleet, error) {
+func newFleet(cfg Config, split bool, instances []serve.Config, roles []Role, requests []serve.Request) (*fleet, error) {
 	reqs := make([]serve.Request, len(requests))
 	copy(reqs, requests)
 	sort.Slice(reqs, func(i, j int) bool { return reqs[i].Arrival < reqs[j].Arrival })
@@ -182,9 +182,6 @@ func (f *fleet) emitFleet(e serve.Event) {
 // addMember constructs an instance on the shared calendar and slots it
 // into the membership and the pools its role serves.
 func (f *fleet) addMember(icfg serve.Config, role Role, managed bool) (*serve.Instance, error) {
-	if icfg.TTFTSLO == 0 {
-		icfg.TTFTSLO = f.cfg.TTFTSLO
-	}
 	idx := len(f.members)
 	name := fmt.Sprintf("%s#%d", icfg.Platform.Name, idx)
 	if f.split {

@@ -192,9 +192,9 @@ type DisaggStats struct {
 	Chaos *ChaosStats `json:",omitempty"`
 
 	// PrefillRouting / DecodeRouting carry per-pool decision records and
-	// counterfactual replays; nil unless DisaggConfig.CounterfactualK
-	// was set. Decode decisions additionally record the chosen link's
-	// FIFO backlog at pick time (Decision.LinkWait).
+	// counterfactual replays; nil unless Config.CounterfactualK was
+	// set. Decode decisions additionally record the chosen link's FIFO
+	// backlog at pick time (Decision.LinkWait).
 	PrefillRouting *RoutingStats `json:",omitempty"`
 	DecodeRouting  *RoutingStats `json:",omitempty"`
 
@@ -276,7 +276,7 @@ func (f *fleet) stats() *DisaggStats {
 		st.Throughput = float64(st.Completed) / sec
 		st.TokensPerSec = float64(tokensOut) / sec
 	}
-	st.SLOAttainment, st.Goodput = serve.SLOGoodput(ttfts, f.cfg.TTFTSLO, st.Horizon, st.Throughput)
+	st.SLOAttainment, st.Goodput = serve.SLOGoodput(ttfts, f.cfg.Base.TTFTSLO, st.Horizon, st.Throughput)
 	st.LoadImbalance = imbalanceCV(counts)
 	if f.chaos != nil {
 		for _, p := range f.pools() {

@@ -222,7 +222,7 @@ func (f *fleet) shipBytes(dst int, h serve.Handoff) float64 {
 }
 
 // pickDecode places one handoff on the decode pool: DecodePolicy's
-// pick by default, or — with DisaggConfig.LinkAwareDecode — the fitting
+// pick by default, or — with Config.LinkAwareDecode — the fitting
 // instance with the earliest projected landing (link FIFO backlog plus
 // the exposed wire time for the bytes this destination actually
 // needs), ties broken by KV pressure then lowest index. Returns the

@@ -453,7 +453,7 @@ func (s *Spec) simulateFleet(o *options) (*Report, error) {
 		}
 	}
 	initial := 0
-	groups := make([]cluster.DisaggGroup, len(f.Groups))
+	groups := make([]cluster.Group, len(f.Groups))
 	for i, g := range f.Groups {
 		initial += g.Count
 		p, err := hw.ByName(g.Platform)
@@ -464,7 +464,7 @@ func (s *Spec) simulateFleet(o *options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		groups[i] = cluster.DisaggGroup{Platform: p, Count: g.Count, Role: role}
+		groups[i] = cluster.Group{Platform: p, Count: g.Count, Role: role}
 	}
 	kind := s.Kind()
 	agg := s.timelineAgg(kind, initial)
@@ -476,11 +476,10 @@ func (s *Spec) simulateFleet(o *options) (*Report, error) {
 	if agg != nil {
 		obs = chainObs(obs, agg.Observe)
 	}
-	cfg := cluster.DisaggConfig{
+	cfg := cluster.Config{
 		Groups:          groups,
 		Base:            base,
 		ShortPrompt:     f.ShortPrompt,
-		TTFTSLO:         base.TTFTSLO,
 		AdmitRatePerSec: f.AdmitRatePerSec,
 		AdmitBurst:      f.AdmitBurst,
 		Observer:        o.countObs(obs),
@@ -489,7 +488,7 @@ func (s *Spec) simulateFleet(o *options) (*Report, error) {
 		cfg.CounterfactualK = s.Observability.CounterfactualK
 	}
 	if f.Autoscale != nil {
-		cfg.Autoscale, err = f.Autoscale.config(base)
+		cfg.Autoscale, err = f.Autoscale.config()
 		if err != nil {
 			return nil, err
 		}
@@ -525,7 +524,7 @@ func (s *Spec) simulateFleet(o *options) (*Report, error) {
 		if cfg.PrefillPolicy, err = cluster.ParsePolicy(f.routerName()); err != nil {
 			return nil, err
 		}
-		if rep.Cluster, err = cluster.SimulateMonolithic(cfg, reqs); err != nil {
+		if rep.Cluster, err = cluster.Simulate(cfg, reqs); err != nil {
 			return nil, err
 		}
 		horizon = rep.Cluster.Horizon
@@ -536,22 +535,20 @@ func (s *Spec) simulateFleet(o *options) (*Report, error) {
 	return rep, nil
 }
 
-// config builds the cluster.AutoscaleConfig an AutoscaleSpec describes:
-// the spun-up template clones the base serving config with the named
-// platform substituted.
-func (a *AutoscaleSpec) config(base serve.Config) (*cluster.AutoscaleConfig, error) {
+// config builds the cluster.AutoscaleConfig an AutoscaleSpec describes;
+// a spun-up instance is the fleet's base serving config on the named
+// platform.
+func (a *AutoscaleSpec) config() (*cluster.AutoscaleConfig, error) {
 	p, err := hw.ByName(a.Platform)
 	if err != nil {
 		return nil, err
 	}
-	tmpl := base
-	tmpl.Platform = p
 	signal, err := cluster.ParseScaleSignal(a.signalName())
 	if err != nil {
 		return nil, err
 	}
 	return &cluster.AutoscaleConfig{
-		Template:    tmpl,
+		Platform:    p,
 		Signal:      signal,
 		Target:      a.Target,
 		Min:         a.Min,

@@ -174,6 +174,43 @@ func TestValidateFleet(t *testing.T) {
 	}
 }
 
+func TestParseFleet(t *testing.T) {
+	for in, want := range map[string][]FleetGroupSpec{
+		"GH200:2,Intel+H100:3": {
+			{Platform: "GH200", Count: 2},
+			{Platform: "Intel+H100", Count: 3},
+		},
+		// Roles and the canonical (trimmed) platform names are kept.
+		"GH200:2/prefill, Intel+H100 :6/decode": {
+			{Platform: "GH200", Count: 2, Role: "prefill"},
+			{Platform: "Intel+H100", Count: 6, Role: "decode"},
+		},
+		// The same platform may appear once per role.
+		"GH200:1/prefill,GH200:1/decode": {
+			{Platform: "GH200", Count: 1, Role: "prefill"},
+			{Platform: "GH200", Count: 1, Role: "decode"},
+		},
+	} {
+		got, err := ParseFleet(in)
+		if err != nil {
+			t.Errorf("ParseFleet(%q): %v", in, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("ParseFleet(%q) = %+v, want %+v", in, got, want)
+		}
+	}
+	for _, bad := range []string{"", "GH200", "GH200:0", "GH200:-1", "GH200:x", "NoSuch:2",
+		"GH200:2,GH200:2",
+		// An untagged group is role both, so this repeats GH200 in one role.
+		"GH200:2,GH200:2/both",
+		"GH200:2/", "GH200:2/bogus"} {
+		if _, err := ParseFleet(bad); err == nil {
+			t.Errorf("ParseFleet(%q) should fail", bad)
+		}
+	}
+}
+
 func TestKindSelection(t *testing.T) {
 	run := &Spec{Run: &RunSpec{Batch: 1, Seq: 128}}
 	srv := &Spec{Serve: &ServeSpec{}}

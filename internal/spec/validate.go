@@ -3,6 +3,7 @@ package spec
 import (
 	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 
 	"github.com/skipsim/skip/internal/cluster"
@@ -406,6 +407,48 @@ func (f *FleetSpec) routerName() string {
 		return "least-queue"
 	}
 	return f.Router
+}
+
+// ParseFleet parses a CLI fleet spec like "GH200:4,Intel+H100:4" into
+// fleet groups, resolving each platform from the catalog and naming it
+// canonically. Platform names may contain '+' but not ':', ',' or '/'.
+// A disaggregated fleet tags each group with a role —
+// "GH200:2/prefill,Intel+H100:6/decode" — and the same platform may
+// then appear once per role; an untagged group is role "both".
+func ParseFleet(spec string) ([]FleetGroupSpec, error) {
+	if strings.TrimSpace(spec) == "" {
+		return nil, fmt.Errorf("spec: empty fleet spec")
+	}
+	var groups []FleetGroupSpec
+	seen := make(map[string]bool)
+	for _, part := range strings.Split(spec, ",") {
+		part = strings.TrimSpace(part)
+		name, countStr, ok := strings.Cut(part, ":")
+		if !ok {
+			return nil, fmt.Errorf("spec: fleet entry %q needs the form platform:count[/role]", part)
+		}
+		countStr, roleName, hasRole := strings.Cut(countStr, "/")
+		roleName = strings.TrimSpace(roleName)
+		role, err := cluster.ParseRole(roleName)
+		if err != nil || (hasRole && roleName == "") {
+			return nil, fmt.Errorf("spec: fleet entry %q: unknown role %q (have prefill|decode|both)", part, roleName)
+		}
+		count, err := strconv.Atoi(strings.TrimSpace(countStr))
+		if err != nil || count <= 0 {
+			return nil, fmt.Errorf("spec: fleet entry %q needs a positive instance count", part)
+		}
+		p, err := hw.ByName(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		key := p.Name + "/" + role.String()
+		if seen[key] {
+			return nil, fmt.Errorf("spec: fleet lists platform %q twice in role %q; merge the counts into one entry", p.Name, role)
+		}
+		seen[key] = true
+		groups = append(groups, FleetGroupSpec{Platform: p.Name, Count: count, Role: roleName})
+	}
+	return groups, nil
 }
 
 func (f *FleetSpec) validate() error {

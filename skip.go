@@ -257,8 +257,6 @@ func LoadPlatformFile(path string) (*Platform, error) { return hw.LoadPlatformFi
 // iteration-level (Orca-style) scheduler with a KV-cache capacity
 // model; see the serve package documentation.
 type (
-	// ServeConfig parameterizes a serving simulation.
-	ServeConfig = serve.Config
 	// ServeStats summarizes request latencies, throughput, goodput, and
 	// KV-cache occupancy.
 	ServeStats = serve.Stats
@@ -329,46 +327,8 @@ type (
 	ClusterInstanceStats = cluster.InstanceStats
 	// RouterPolicy selects how the front-end places requests.
 	RouterPolicy = cluster.Policy
-	// FleetGroup is one homogeneous slice of a fleet spec.
-	FleetGroup = cluster.FleetGroup
-	// AutoscaleConfig parameterizes the fleet autoscale controller.
-	AutoscaleConfig = cluster.AutoscaleConfig
-	// ScaleSignal selects the autoscale load signal.
-	ScaleSignal = cluster.ScaleSignal
-	// FaultsConfig parameterizes fault injection.
-	FaultsConfig = cluster.FaultsConfig
-	// Fault is one scheduled fault injection.
-	Fault = cluster.Fault
-	// FaultKind classifies a fault (crash, slow-node, link-degraded).
-	FaultKind = cluster.FaultKind
 	// ChaosStats is the churn ledger of a dynamic fleet.
 	ChaosStats = cluster.ChaosStats
-	// InstanceState is a serving instance's lifecycle state.
-	InstanceState = serve.InstanceState
-	// EvictedRequest is one in-flight request a killed instance pushed
-	// out for the fleet layer to requeue.
-	EvictedRequest = serve.Evicted
-)
-
-// Autoscale signals.
-const (
-	SignalQueueDepth    = cluster.SignalQueueDepth
-	SignalSLOAttainment = cluster.SignalSLOAttainment
-	SignalTransferQueue = cluster.SignalTransferQueue
-)
-
-// Fault kinds.
-const (
-	FaultCrash       = cluster.FaultCrash
-	FaultSlowNode    = cluster.FaultSlowNode
-	FaultLinkDegrade = cluster.FaultLinkDegrade
-)
-
-// Instance lifecycle states.
-const (
-	StateActive   = serve.StateActive
-	StateDraining = serve.StateDraining
-	StateStopped  = serve.StateStopped
 )
 
 // Routing policies.
@@ -382,13 +342,10 @@ const (
 )
 
 // KV-cache aliases: the block-level prefix cache instances attach when
-// a fleet.kv_cache section (or ServeConfig.KVCache) is present. See the
+// a fleet.kv_cache section is present. See the
 // kvcache package documentation for the block, hashing, and eviction
 // model.
 type (
-	// KVCacheConfig dimensions an instance's prefix cache (block
-	// granularity, device and host-spill tiers, eviction policy).
-	KVCacheConfig = serve.KVCacheConfig
 	// KVCacheStats is the reconciled cache ledger a report carries.
 	KVCacheStats = serve.KVCacheStats
 	// KVCachePolicy selects the block eviction policy.
@@ -414,20 +371,14 @@ func RouterPolicies() []RouterPolicy { return cluster.Policies() }
 
 // ParseFleet parses a fleet spec like "GH200:4,Intel+H100:4" (or, with
 // disaggregation roles, "GH200:2/prefill,Intel+H100:6/decode") against
-// the platform catalog.
-func ParseFleet(spec string) ([]FleetGroup, error) { return cluster.ParseFleet(spec) }
+// the platform catalog into the groups of a FleetSpec.
+func ParseFleet(fleet string) ([]FleetGroupSpec, error) { return spec.ParseFleet(fleet) }
 
 // Disaggregation-layer aliases: prefill/decode disaggregated serving
 // with an interconnect-priced KV handoff between pools — the fleet-
 // scale operationalization of the paper's prefill-compute vs decode-
 // bandwidth asymmetry. See the cluster package documentation.
 type (
-	// DisaggConfig parameterizes a disaggregated fleet simulation.
-	DisaggConfig = cluster.DisaggConfig
-	// DisaggGroup is one fleet slice with a role.
-	DisaggGroup = cluster.DisaggGroup
-	// DisaggRole assigns a group to a pool (prefill, decode, both).
-	DisaggRole = cluster.Role
 	// DisaggStats summarizes a disaggregated fleet simulation: the
 	// cross-pool request ledger, transfer economics, and pooled
 	// latencies.
@@ -435,44 +386,12 @@ type (
 	// DisaggInstanceStats is one instance's share of a disaggregated
 	// fleet result.
 	DisaggInstanceStats = cluster.DisaggInstanceStats
-	// KVTransferModel prices KV-cache movement between instances from
-	// the platforms' interconnects.
-	KVTransferModel = cluster.TransferModel
-	// ServeHandoff is the state of a request leaving a prefill instance
-	// to resume mid-stream on a decode instance.
-	ServeHandoff = serve.Handoff
 )
-
-// Disaggregation roles.
-const (
-	RoleBoth    = cluster.RoleBoth
-	RolePrefill = cluster.RolePrefill
-	RoleDecode  = cluster.RoleDecode
-)
-
-// ParseDisaggRole maps a fleet-role name ("prefill", "decode", "both",
-// or empty) to a DisaggRole.
-func ParseDisaggRole(name string) (DisaggRole, error) { return cluster.ParseRole(name) }
-
-// SimulateDisagg runs a prefill/decode disaggregated fleet over a
-// request stream. Prefer a Spec with a fleet.disaggregation section and
-// Simulate; this imperative door exists for callers composing custom
-// platforms or per-pool configs in code.
-func SimulateDisagg(cfg DisaggConfig, requests []ServeRequest) (*DisaggStats, error) {
-	return cluster.SimulateDisagg(cfg, requests)
-}
 
 // KVBytesPerToken is a model's per-cached-token KV footprint — the
 // quantity the disaggregation transfer model multiplies by a handoff's
 // cache extent.
 func KVBytesPerToken(m *Model) float64 { return serve.KVBytesPerToken(m) }
-
-// FleetConfigs expands fleet groups over a base serving config, one
-// config per instance with the group's platform substituted. Groups
-// with a nil platform or non-positive count are rejected.
-func FleetConfigs(groups []FleetGroup, base ServeConfig) ([]ServeConfig, error) {
-	return cluster.FleetConfigs(groups, base)
-}
 
 // Spec API: the declarative, JSON-serializable entry point. One Spec
 // document selects the simulation layer by which sections are present —

@@ -185,13 +185,9 @@ func TestSweepHelpersThroughPublicAPI(t *testing.T) {
 // through the exported API: fleet spec parsing, workload generation,
 // routing, and the fleet-level request ledger.
 func TestPublicClusterPipeline(t *testing.T) {
-	groups, err := skip.ParseFleet("GH200:1,Intel+H100:1")
+	fleet, err := skip.ParseFleet("GH200:1,Intel+H100:1")
 	if err != nil {
 		t.Fatal(err)
-	}
-	var fleet []skip.FleetGroupSpec
-	for _, g := range groups {
-		fleet = append(fleet, skip.FleetGroupSpec{Platform: g.Platform.Name, Count: g.Count})
 	}
 	for _, policy := range skip.RouterPolicies() {
 		rep, err := skip.Simulate(&skip.Spec{
