@@ -30,10 +30,10 @@ func cmdSim(args []string) error {
 	cfK := fs.Int("counterfactual-k", 0, "fleet specs: record every routing decision with up to K scored alternatives plus counterfactual policy replays (overrides observability.counterfactual_k)")
 	metricsCSV := fs.String("metrics-csv", "", "write the report.metrics series to this CSV file (one row per sweep point; needs a report.metrics section)")
 	timelineCSV := fs.String("timeline-csv", "", "write the windowed Report.Timeline series to this CSV file (one row per window; needs an observability.timeline section)")
-	profile := fs.Bool("profile", false, "measure the simulator itself (wall time, events/sec, allocs/event) and print the Report.Profile block")
+	profile := fs.Bool("profile", false, "time the simulation and print wall time, simulated-vs-wall ratio and allocations to stderr")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the simulation to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile (taken after the simulation) to this file")
-	progress := fs.Bool("progress", false, "print a heartbeat to stderr at every progress tick: wall time, simulated time, live events/sec")
+	progress := fs.Bool("progress", false, "print a heartbeat to stderr at every progress tick: wall time, simulated time")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -103,16 +103,12 @@ func cmdSim(args []string) error {
 			return fmt.Errorf("sim: -progress needs a serve or fleet spec (run specs emit no lifecycle events)")
 		}
 		start := time.Now()
-		var seen int64
 		observers = append(observers, func(e skip.Event) {
-			seen++
 			if e.Type != skip.EventProgress {
 				return
 			}
-			wall := time.Since(start)
-			eps := float64(seen) / wall.Seconds()
-			fmt.Fprintf(os.Stderr, "progress: %d/%d completed  wall %v  simulated %v  %.0f events/s\n",
-				e.Completed, e.Total, wall.Round(time.Millisecond), e.Time, eps)
+			fmt.Fprintf(os.Stderr, "progress: %d/%d completed  wall %v  simulated %v\n",
+				e.Completed, e.Total, time.Since(start).Round(time.Millisecond), e.Time)
 		})
 	}
 	var opts []skip.SimOption
@@ -122,9 +118,6 @@ func cmdSim(args []string) error {
 				fn(e)
 			}
 		}))
-	}
-	if *profile {
-		opts = append(opts, skip.WithProfile())
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -137,9 +130,18 @@ func cmdSim(args []string) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
+	var before runtime.MemStats
+	var start time.Time
+	if *profile {
+		runtime.ReadMemStats(&before)
+		start = time.Now()
+	}
 	rep, err := skip.Simulate(sp, opts...)
 	if err != nil {
 		return err
+	}
+	if *profile {
+		printProfile(time.Since(start), &before, rep)
 	}
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
@@ -190,9 +192,6 @@ func cmdSim(args []string) error {
 			return err
 		}
 		fmt.Fprintf(statusOut, "timeline written to %s (%d windows)\n", *timelineCSV, rep.Timeline.Windows)
-	}
-	if *profile && !*jsonOut {
-		printProfile(rep.Profile)
 	}
 	if *out != "" {
 		tr := traceOf(rep)
@@ -337,26 +336,44 @@ func writeTimelineCSV(path string, rep *skip.Report) error {
 	return w.Error()
 }
 
-// printProfile renders the simulator's self-measurement block.
-func printProfile(p *skip.SimProfile) {
-	if p == nil {
-		return
+// printProfile renders `sim -profile`: the wall time and allocation
+// deltas measured around one skip.Simulate call, on stderr so -json
+// stdout stays one document. The counters include workload generation
+// and report assembly; perfbench is the measured benchmark.
+func printProfile(wall time.Duration, before *runtime.MemStats, rep *skip.Report) {
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	simulated := horizon(rep)
+	speedup := 0.0
+	if wall > 0 {
+		speedup = float64(simulated) / float64(wall)
 	}
-	fmt.Println()
-	fmt.Println("  simulator profile")
-	wall := time.Duration(p.WallNs)
-	fmt.Printf("    wall time      %v  (simulated %v, %.0fx real time)\n",
-		wall.Round(time.Microsecond), time.Duration(p.SimulatedNs), ratio(float64(p.SimulatedNs), float64(p.WallNs)))
-	fmt.Printf("    events         %d  (%.0f events/s)\n", p.Events, p.EventsPerSec)
-	fmt.Printf("    allocations    %d (%.1f MB total, %.1f/event)  heap now %.1f MB\n",
-		p.Mallocs, float64(p.AllocBytes)/1e6, p.AllocsPerEvent, float64(p.HeapAllocBytes)/1e6)
+	fmt.Fprintln(os.Stderr, "simulator profile")
+	fmt.Fprintf(os.Stderr, "  wall time      %v  (simulated %v, %.0fx real time)\n",
+		wall.Round(time.Microsecond), simulated.Round(time.Millisecond), speedup)
+	fmt.Fprintf(os.Stderr, "  allocations    %d (%.1f MB total)  heap now %.1f MB\n",
+		after.Mallocs-before.Mallocs, float64(after.TotalAlloc-before.TotalAlloc)/1e6,
+		float64(after.HeapAlloc)/1e6)
 }
 
-func ratio(num, den float64) float64 {
-	if den == 0 {
-		return 0
+// horizon is the virtual time a report covers: the run's horizon, or
+// the sum of the points' horizons for a sweep (zero for run kinds).
+func horizon(rep *skip.Report) time.Duration {
+	switch {
+	case rep.Serve != nil:
+		return time.Duration(rep.Serve.Horizon)
+	case rep.Cluster != nil:
+		return time.Duration(rep.Cluster.Horizon)
+	case rep.Disagg != nil:
+		return time.Duration(rep.Disagg.Horizon)
 	}
-	return num / den
+	var total time.Duration
+	for _, pt := range rep.Sweep {
+		if pt.Report != nil {
+			total += horizon(pt.Report)
+		}
+	}
+	return total
 }
 
 // printMetrics renders the derived series a report.metrics section

@@ -129,9 +129,10 @@ func TestDirectiveFixture(t *testing.T) {
 }
 
 // TestSelfLint asserts the repository is clean under the full suite —
-// the determinism contract holds, and the two sanctioned exemptions
-// (the WithProfile wall-clock envelope, the sweep worker pool) are
-// properly annotated rather than silently ignored.
+// the determinism contract holds, and the remaining waivers (the sweep
+// worker pool) are properly annotated rather than silently ignored.
+// Wall-clock reads admit no waiver at all: a walltime allow directive
+// anywhere outside testdata fails the test, even an unused one.
 func TestSelfLint(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -150,6 +151,20 @@ func TestSelfLint(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("repo not clean: %s", d)
+	}
+	known := map[string]bool{}
+	for _, name := range checkNames() {
+		known[name] = true
+	}
+	for _, pkg := range pkgs {
+		dirs, _ := parseDirectives(pkg.Fset, pkg.Files, known)
+		for _, d := range dirs {
+			for _, c := range d.checks {
+				if c == "walltime" {
+					t.Errorf("%s: walltime waiver outside testdata (time the simulator from its caller instead): %s", d.pos, d.reason)
+				}
+			}
+		}
 	}
 }
 

@@ -9,9 +9,8 @@ import "strings"
 //
 //   - walltime applies to the simulation tree (internal/...): the CLI
 //     may read the wall clock to report its own runtime, the simulator
-//     may not. The one sanctioned exception — the WithProfile envelope
-//     in internal/spec/simulate.go, whose whole job is measuring real
-//     wall time around a run — carries allow directives.
+//     may not, and no allow directive may waive it there (TestSelfLint
+//     enforces that).
 //   - globalrand, goroutine, and floatorder apply module-wide: an
 //     unseeded random stream, an unsupervised goroutine, or a
 //     map-ordered float sum is never acceptable in non-test code.

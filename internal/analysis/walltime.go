@@ -24,10 +24,9 @@ var wallFuncs = map[string]bool{
 // Walltime rejects wall-clock reads in simulation packages. Simulated
 // time advances only through sim.Calendar; a time.Now anywhere in a
 // simulation path couples results to host speed and breaks
-// bit-identical reruns. The WithProfile envelope in
-// internal/spec/simulate.go is the sanctioned exception (it measures
-// the simulator itself, not the simulation) and carries allow
-// directives.
+// bit-identical reruns. There is no exception: a caller that wants to
+// time the simulator (`skip sim -profile`) reads the clock around the
+// call, outside the simulation tree.
 var Walltime = &Analyzer{
 	Name: "walltime",
 	Doc: "wall-clock reads (time.Now/Since/Until/Sleep/After/Tick/timers) are banned in simulation packages; " +

@@ -674,7 +674,7 @@ func (s *contSim) sample(now sim.Time) {
 	if s.kvUsed > s.peakKV {
 		s.peakKV = s.kvUsed
 	}
-	if s.cfg.EmitStateSamples && s.cfg.Observer != nil {
+	if s.cfg.SampleWindow > 0 && s.cfg.Observer != nil {
 		lookups, hits := int64(0), int64(0)
 		if s.cache != nil {
 			cs := s.cache.Stats()

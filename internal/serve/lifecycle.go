@@ -203,14 +203,6 @@ func (in *Instance) SetSlowFactor(factor float64) error {
 	return nil
 }
 
-// SlowFactor reports the current slow-node multiplier (1 = full speed).
-func (in *Instance) SlowFactor() float64 {
-	if in.s.slowFactor == 0 {
-		return 1
-	}
-	return in.s.slowFactor
-}
-
 // SLOWindow reports how many of the instance's most recent w first
 // tokens met the TTFT SLO, and how many samples that window actually
 // holds — the rolling-attainment signal an autoscale controller

@@ -71,14 +71,6 @@ func MaxTime(a, b Time) Time {
 	return b
 }
 
-// MinTime returns the earlier of two times.
-func MinTime(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Clock tracks the current position of a sequential actor (for example
 // the CPU dispatch thread) in virtual time.
 type Clock struct {

@@ -26,19 +26,19 @@ func (m *MetricSpec) name() string {
 }
 
 // metricRoots lists the report sections a base kind populates. The
-// timeline and profile sections are addressable for every workload kind
-// (presence still depends on the matching observability section or
-// WithProfile, checked at extraction time like any nil section).
+// timeline section is addressable for every workload kind (presence
+// still depends on an observability.timeline section, checked at
+// extraction time like any nil section).
 func metricRoots(k Kind) []string {
 	switch k {
 	case KindRun:
-		return []string{"run", "generate", "profile"}
+		return []string{"run", "generate"}
 	case KindServe:
-		return []string{"serve", "offered", "timeline", "profile"}
+		return []string{"serve", "offered", "timeline"}
 	case KindCluster:
-		return []string{"cluster", "offered", "timeline", "profile"}
+		return []string{"cluster", "offered", "timeline"}
 	case KindDisagg:
-		return []string{"disagg", "offered", "timeline", "profile"}
+		return []string{"disagg", "offered", "timeline"}
 	}
 	return nil
 }

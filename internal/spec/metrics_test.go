@@ -105,6 +105,9 @@ func TestMetricsValidationErrors(t *testing.T) {
 		{"wrong section for the kind", func(s *Spec) {
 			s.Report = &ReportSpec{Metrics: []MetricSpec{{Path: "cluster.Goodput"}}}
 		}, "no section"},
+		{"retired profile section", func(s *Spec) {
+			s.Report = &ReportSpec{Metrics: []MetricSpec{{Path: "profile.wall_ns"}}}
+		}, "no section"},
 		{"unknown field", func(s *Spec) {
 			s.Report = &ReportSpec{Metrics: []MetricSpec{{Path: "serve.Nope"}}}
 		}, "no field"},

@@ -2,9 +2,6 @@ package spec
 
 import (
 	"encoding/json"
-	"runtime"
-	"sync/atomic"
-	"time"
 
 	"github.com/skipsim/skip/internal/cluster"
 	"github.com/skipsim/skip/internal/engine"
@@ -53,12 +50,6 @@ type Report struct {
 	// observability.timeline section requests; absent otherwise, so
 	// timeline-off reports stay bit-identical.
 	Timeline *metrics.Timeline `json:"timeline,omitempty"`
-
-	// Profile is the simulator's self-measurement (wall time, events
-	// processed, allocation churn); present only under WithProfile /
-	// `skip sim -profile`, because wall time is machine-dependent by
-	// nature.
-	Profile *metrics.Profile `json:"profile,omitempty"`
 }
 
 // Metric is one extracted series: Values holds a single element for a
@@ -86,8 +77,6 @@ type options struct {
 	observer      serve.Observer
 	progressEvery int
 	sweepWorkers  int
-	profile       bool
-	counter       *atomic.Int64
 }
 
 // Option customizes a Simulate call without touching the Spec — the
@@ -118,64 +107,28 @@ func WithSweepWorkers(n int) Option {
 	return func(o *options) { o.sweepWorkers = n }
 }
 
-// WithProfile records the simulator's own cost into Report.Profile:
-// wall time, events processed, events/sec, allocation churn, and heap
-// high-water mark. The simulated results are unaffected — only the
-// profile block itself is machine-dependent.
-func WithProfile() Option {
-	return func(o *options) {
-		o.profile = true
-		if o.counter == nil {
-			o.counter = new(atomic.Int64)
-		}
-	}
-}
-
-// withCounter shares an existing event counter: sweep points feed the
-// parent run's tally instead of opening their own.
-func withCounter(c *atomic.Int64) Option {
-	return func(o *options) { o.counter = c }
-}
-
-// chainObs composes two observers, tolerating nils, so internal taps
-// (timeline aggregator, profile counter) ride the event stream without
-// disturbing the user's observer.
-func chainObs(a, b serve.Observer) serve.Observer {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return func(e serve.Event) { a(e); b(e) }
-}
-
-// countObs appends the profile event counter to obs when profiling.
-func (o *options) countObs(obs serve.Observer) serve.Observer {
-	if o.counter == nil {
-		return obs
-	}
-	c := o.counter
-	return chainObs(obs, func(serve.Event) { c.Add(1) })
-}
-
-// timelineAgg builds the windowed aggregator an observability.timeline
-// section requests (nil when absent). initial seeds the active-instance
-// level before any join/leave events; fleet-shape series are only
-// emitted for multi-instance kinds, and the cache series only when a
-// prefix cache is actually configured.
-func (s *Spec) timelineAgg(kind Kind, initial int) *metrics.Aggregator {
+// observe wires a serve or fleet run's observers in one place: the
+// caller's observer with progress ticks interleaved, then the windowed
+// timeline aggregator an observability.timeline section requests (nil
+// when absent). A timeline also sets cfg.SampleWindow, which turns on
+// the EventStateSample level feed the aggregator reads. initial seeds
+// the active-instance level before any join/leave events; fleet-shape
+// series are only emitted for multi-instance kinds, and the cache
+// series only when a prefix cache is actually configured.
+func (s *Spec) observe(o *options, cfg *serve.Config, kind Kind, total, initial int) (serve.Observer, *metrics.Aggregator) {
+	obs := progressObserver(o.observer, total, o.progressEvery)
 	if s.Observability == nil || s.Observability.Timeline == nil {
-		return nil
+		return obs, nil
 	}
 	tl := s.Observability.Timeline
+	cfg.SampleWindow = sim.Time(tl.IntervalMs * 1e6)
 	var slo sim.Time
 	if s.Serve != nil {
 		slo = sim.Time(s.Serve.TTFTSLOMs * 1e6)
 	}
 	fleet := kind == KindCluster || kind == KindDisagg
-	return metrics.NewAggregator(metrics.AggregatorConfig{
-		Interval:         sim.Time(tl.IntervalMs * 1e6),
+	agg := metrics.NewAggregator(metrics.AggregatorConfig{
+		Interval:         cfg.SampleWindow,
 		PerInstance:      tl.PerInstance,
 		SLO:              slo,
 		InitialInstances: initial,
@@ -183,11 +136,10 @@ func (s *Spec) timelineAgg(kind Kind, initial int) *metrics.Aggregator {
 		TransferSeries:   kind == KindDisagg,
 		CacheSeries:      fleet && s.Fleet.KVCache != nil,
 	})
-}
-
-// timelineWindow is the spec's window width as virtual time.
-func (s *Spec) timelineWindow() sim.Time {
-	return sim.Time(s.Observability.Timeline.IntervalMs * 1e6)
+	if obs == nil {
+		return agg.Observe, agg
+	}
+	return func(e serve.Event) { obs(e); agg.Observe(e) }, agg
 }
 
 // Simulate validates the spec and dispatches it to the engine, serving,
@@ -207,13 +159,6 @@ func Simulate(s *Spec, opts ...Option) (*Report, error) {
 	if o.observer != nil {
 		o.observer = stampSeq(o.observer)
 	}
-	var before runtime.MemStats
-	var start time.Time
-	if o.profile {
-		runtime.ReadMemStats(&before)
-		//skiplint:allow walltime — WithProfile measures the simulator itself (real wall time around the run), not simulated time
-		start = time.Now()
-	}
 	var rep *Report
 	var err error
 	switch s.Kind() {
@@ -228,28 +173,6 @@ func Simulate(s *Spec, opts ...Option) (*Report, error) {
 	}
 	if err != nil {
 		return nil, err
-	}
-	if o.profile {
-		//skiplint:allow walltime — closes the WithProfile wall-clock envelope opened above; profiling-only, never feeds sim results
-		wall := time.Since(start)
-		var after runtime.MemStats
-		runtime.ReadMemStats(&after)
-		events := o.counter.Load()
-		p := &metrics.Profile{
-			WallNs:         wall.Nanoseconds(),
-			SimulatedNs:    simulatedNs(rep),
-			Events:         events,
-			Mallocs:        int64(after.Mallocs - before.Mallocs),
-			AllocBytes:     int64(after.TotalAlloc - before.TotalAlloc),
-			HeapAllocBytes: int64(after.HeapAlloc),
-		}
-		if wall > 0 {
-			p.EventsPerSec = float64(events) / wall.Seconds()
-		}
-		if events > 0 {
-			p.AllocsPerEvent = float64(p.Mallocs) / float64(events)
-		}
-		rep.Profile = p
 	}
 	if s.Report != nil {
 		if err := s.attachMetrics(rep); err != nil {
@@ -352,7 +275,7 @@ func (d *LengthDistSpec) dist() serve.LengthDist {
 // serveConfig builds the serve.Config a ServeSpec describes (platform
 // left to the caller: fleet expansion substitutes per-group platforms).
 // A nil ServeSpec yields the defaults.
-func (s *Spec) serveConfig(obs serve.Observer) (serve.Config, error) {
+func (s *Spec) serveConfig() (serve.Config, error) {
 	v := s.Serve
 	if v == nil {
 		v = &ServeSpec{}
@@ -382,7 +305,6 @@ func (s *Spec) serveConfig(obs serve.Observer) (serve.Config, error) {
 		TTFTSLO:          sim.Time(v.TTFTSLOMs * 1e6),
 		AbandonAfter:     sim.Time(v.AbandonAfterMs * 1e6),
 		LatencyBucket:    v.LatencyBucket,
-		Observer:         obs,
 	}
 	if cfg.Seq == 0 {
 		cfg.Seq = 512
@@ -404,19 +326,12 @@ func (s *Spec) simulateServe(o *options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	agg := s.timelineAgg(KindServe, 1)
-	obs := progressObserver(o.observer, len(reqs), o.progressEvery)
-	if agg != nil {
-		obs = chainObs(obs, agg.Observe)
-	}
-	cfg, err := s.serveConfig(o.countObs(obs))
+	cfg, err := s.serveConfig()
 	if err != nil {
 		return nil, err
 	}
-	if agg != nil {
-		cfg.EmitStateSamples = true
-		cfg.SampleWindow = s.timelineWindow()
-	}
+	var agg *metrics.Aggregator
+	cfg.Observer, agg = s.observe(o, &cfg, KindServe, len(reqs), 1)
 	cfg.Platform, err = s.platform()
 	if err != nil {
 		return nil, err
@@ -441,7 +356,7 @@ func (s *Spec) simulateFleet(o *options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := s.serveConfig(nil)
+	base, err := s.serveConfig()
 	if err != nil {
 		return nil, err
 	}
@@ -467,22 +382,14 @@ func (s *Spec) simulateFleet(o *options) (*Report, error) {
 		groups[i] = cluster.Group{Platform: p, Count: g.Count, Role: role}
 	}
 	kind := s.Kind()
-	agg := s.timelineAgg(kind, initial)
-	if agg != nil {
-		base.EmitStateSamples = true
-		base.SampleWindow = s.timelineWindow()
-	}
-	obs := progressObserver(o.observer, len(reqs), o.progressEvery)
-	if agg != nil {
-		obs = chainObs(obs, agg.Observe)
-	}
+	obs, agg := s.observe(o, &base, kind, len(reqs), initial)
 	cfg := cluster.Config{
 		Groups:          groups,
 		Base:            base,
 		ShortPrompt:     f.ShortPrompt,
 		AdmitRatePerSec: f.AdmitRatePerSec,
 		AdmitBurst:      f.AdmitBurst,
-		Observer:        o.countObs(obs),
+		Observer:        obs,
 	}
 	if s.Observability != nil {
 		cfg.CounterfactualK = s.Observability.CounterfactualK
@@ -591,28 +498,6 @@ func (fc *FaultsSpec) config() *cluster.FaultsConfig {
 		})
 	}
 	return out
-}
-
-// simulatedNs extracts the virtual span a report covers (sweeps sum
-// their points), giving Profile a simulated-vs-wall time ratio.
-func simulatedNs(rep *Report) int64 {
-	switch {
-	case rep.Serve != nil:
-		return int64(rep.Serve.Horizon)
-	case rep.Cluster != nil:
-		return int64(rep.Cluster.Horizon)
-	case rep.Disagg != nil:
-		return int64(rep.Disagg.Horizon)
-	case rep.Sweep != nil:
-		var total int64
-		for i := range rep.Sweep {
-			if rep.Sweep[i].Report != nil {
-				total += simulatedNs(rep.Sweep[i].Report)
-			}
-		}
-		return total
-	}
-	return 0
 }
 
 // progressObserver forwards events to obs and interleaves an

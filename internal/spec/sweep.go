@@ -276,10 +276,7 @@ func (s *Spec) pointSpec(v any) (*Spec, error) {
 }
 
 // pointOptions rebuilds the option list a sweep point's Simulate call
-// inherits. The worker knob stays at the sweep level; the profile flag
-// does too (one MemStats envelope around the whole sweep), but the
-// event counter is shared so every point's events land in the parent
-// tally — atomic, so concurrent workers may bump it freely.
+// inherits. The worker knob stays at the sweep level.
 func pointOptions(o *options) []Option {
 	var opts []Option
 	if o.observer != nil {
@@ -287,9 +284,6 @@ func pointOptions(o *options) []Option {
 		if o.progressEvery > 0 {
 			opts = append(opts, WithProgressEvery(o.progressEvery))
 		}
-	}
-	if o.counter != nil {
-		opts = append(opts, withCounter(o.counter))
 	}
 	return opts
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/skipsim/skip/internal/serve"
 	"github.com/skipsim/skip/internal/sim"
 )
 
@@ -142,8 +143,42 @@ func TestTimelineOffLeavesNoResidue(t *testing.T) {
 	if strings.Contains(string(data), "\"timeline\"") {
 		t.Error("timeline-off report mentions a timeline section")
 	}
-	if strings.Contains(string(data), "\"profile\"") {
-		t.Error("profile-off report mentions a profile section")
+}
+
+// TestStateSamplesFollowTimeline: the EventStateSample level feed is
+// on exactly when an observability.timeline section asks for windows.
+// Without one, an observed stream carries no state samples; with one,
+// every instance emits at least one.
+func TestStateSamplesFollowTimeline(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		spec      func() *Spec
+		instances int
+	}{
+		{"serve", testServeSpec, 1},
+		{"fleet", testFleetSpec, 2},
+	} {
+		for _, timeline := range []bool{false, true} {
+			s := tc.spec()
+			if timeline {
+				s.Observability = &ObservabilitySpec{Timeline: &TimelineSpec{IntervalMs: 100}}
+			}
+			samples := map[string]int{}
+			if _, err := Simulate(s, WithObserver(func(e serve.Event) {
+				if e.Type == serve.EventStateSample {
+					samples[e.Instance]++
+				}
+			})); err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case !timeline && len(samples) != 0:
+				t.Errorf("%s without a timeline: state samples %v, want none", tc.name, samples)
+			case timeline && len(samples) != tc.instances:
+				t.Errorf("%s with a timeline: state samples from %d instances %v, want %d",
+					tc.name, len(samples), samples, tc.instances)
+			}
+		}
 	}
 }
 
@@ -168,38 +203,5 @@ func TestTimelineValidation(t *testing.T) {
 	sv.Observability = &ObservabilitySpec{Timeline: &TimelineSpec{IntervalMs: 100}}
 	if err := sv.Validate(); err == nil || !strings.Contains(err.Error(), "continuous") {
 		t.Errorf("timeline on a static serve policy: err = %v", err)
-	}
-}
-
-// TestProfileAttached: WithProfile fills the self-measurement block;
-// the simulated numbers are untouched.
-func TestProfileAttached(t *testing.T) {
-	plain, err := Simulate(testFleetSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof, err := Simulate(testFleetSpec(), WithProfile())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := prof.Profile
-	if p == nil {
-		t.Fatal("WithProfile set but the report carries no profile")
-	}
-	if p.Events <= 0 || p.EventsPerSec <= 0 {
-		t.Errorf("profile counted no events: %+v", p)
-	}
-	if p.SimulatedNs != int64(prof.Cluster.Horizon) {
-		t.Errorf("simulated_ns = %d, want horizon %d", p.SimulatedNs, prof.Cluster.Horizon)
-	}
-	if p.WallNs <= 0 {
-		t.Errorf("wall_ns = %d, want > 0", p.WallNs)
-	}
-	// The profile tap must not perturb the simulation itself.
-	prof.Profile = nil
-	pj, _ := ReportJSON(plain)
-	qj, _ := ReportJSON(prof)
-	if !bytes.Equal(pj, qj) {
-		t.Error("profiling changed the simulated report")
 	}
 }

@@ -87,9 +87,6 @@ func (s Shape) Elems() int64 {
 // Bytes returns the storage footprint of the shape in the given dtype.
 func (s Shape) Bytes(d DType) int64 { return s.Elems() * d.Size() }
 
-// Rank returns the number of dimensions.
-func (s Shape) Rank() int { return len(s) }
-
 // String renders like "[8, 512, 768]".
 func (s Shape) String() string {
 	parts := make([]string, len(s))

@@ -503,11 +503,6 @@ func WithProgressEvery(n int) SimOption { return spec.WithProgressEvery(n) }
 // count; an observer forces one worker so events arrive in point order.
 func WithSweepWorkers(n int) SimOption { return spec.WithSweepWorkers(n) }
 
-// WithProfile records the simulator's own cost (wall time, events
-// processed, events/sec, allocation churn) into Report.Profile. The
-// simulated numbers are unaffected.
-func WithProfile() SimOption { return spec.WithProfile() }
-
 // Percentiles computes nearest-rank percentiles over a latency sample
 // set with a single sort (zeros for an empty set) — the bulk form of
 // per-request statistics assembly.
@@ -586,9 +581,6 @@ type (
 	// behind the timeline percentiles: fixed memory, mergeable,
 	// quantiles within ~3.2% relative error.
 	WindowedHistogram = metrics.Histogram
-	// SimProfile is the simulator's self-measurement of Report.Profile:
-	// wall time, events processed, events/sec, allocation churn.
-	SimProfile = metrics.Profile
 	// StateSample is the queue/KV/cache snapshot an EventStateSample
 	// carries.
 	StateSample = serve.StateSample
