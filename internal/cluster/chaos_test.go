@@ -368,7 +368,7 @@ func TestRandomCrashSurvivability(t *testing.T) {
 		t.Fatal(err)
 	}
 	draining := f.members[0].in
-	if err := draining.Accept(0, reqs[0]); err != nil {
+	if err := draining.Accept(0, reqs[0], nil); err != nil {
 		t.Fatal(err)
 	}
 	draining.Drain(0)

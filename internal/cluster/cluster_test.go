@@ -174,7 +174,7 @@ func TestClusterSessionAffinityPinsSessions(t *testing.T) {
 	// Load instance 0 so least-outstanding would now prefer 1 —
 	// affinity must still return the pinned instance.
 	cal.Schedule(0, func(now sim.Time) {
-		if err := a.Accept(now, first); err != nil {
+		if err := a.Accept(now, first, nil); err != nil {
 			t.Errorf("accept: %v", err)
 		}
 	})

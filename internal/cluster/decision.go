@@ -69,12 +69,12 @@ type RoutingStats struct {
 	Decisions       []Decision           `json:",omitempty"`
 }
 
-// DecisionRecorder captures routing decisions and counterfactual
+// decisionRecorder captures routing decisions and counterfactual
 // replays for one router. It is strictly read-only over fleet state:
 // Record must run at pick time — after the policy chose, before the
 // instance accepts — so alternative scores see exactly the state the
 // real decision saw.
-type DecisionRecorder struct {
+type decisionRecorder struct {
 	policy      Policy
 	shortPrompt int64
 	k           int
@@ -83,14 +83,12 @@ type DecisionRecorder struct {
 	counter     map[Policy]*CounterfactualStat
 }
 
-// NewDecisionRecorder builds a recorder for the active policy. k caps
+// newDecisionRecorder builds a recorder for the active policy. k caps
 // the alternatives stored per decision; shortPrompt is the
-// platform-aware regime boundary (≤ 0 takes the router default).
-func NewDecisionRecorder(policy Policy, shortPrompt int64, k int) *DecisionRecorder {
-	if shortPrompt <= 0 {
-		shortPrompt = 512
-	}
-	r := &DecisionRecorder{policy: policy, shortPrompt: shortPrompt, k: k,
+// platform-aware regime boundary, default already applied by the
+// router.
+func newDecisionRecorder(policy Policy, shortPrompt int64, k int) *decisionRecorder {
+	r := &decisionRecorder{policy: policy, shortPrompt: shortPrompt, k: k,
 		counter: make(map[Policy]*CounterfactualStat)}
 	for _, p := range counterfactualPolicies {
 		if p != policy {
@@ -104,21 +102,9 @@ func NewDecisionRecorder(policy Policy, shortPrompt int64, k int) *DecisionRecor
 // replay against a live fleet without mutating routing state.
 var counterfactualPolicies = []Policy{LeastQueue, LeastKV, PlatformAware}
 
-// statelessPick replays policy p read-only against the instances.
-func (r *DecisionRecorder) statelessPick(p Policy, req serve.Request, instances []*serve.Instance) int {
-	switch p {
-	case LeastKV:
-		return leastBy(req, instances, func(in *serve.Instance) float64 { return in.KVPressure() })
-	case PlatformAware:
-		return pickPlatformAware(req, instances, r.shortPrompt)
-	default:
-		return leastOutstanding(req, instances)
-	}
-}
-
 // Record logs one successful pick. chosen indexes instances; linkWait
 // is zero except for disaggregated decode picks.
-func (r *DecisionRecorder) Record(now sim.Time, req serve.Request, instances []*serve.Instance, chosen int, requeue bool, linkWait sim.Time) {
+func (r *decisionRecorder) Record(now sim.Time, req serve.Request, instances []*serve.Instance, chosen int, requeue bool, linkWait sim.Time) {
 	r.picks++
 	// Iterate the fixed policy list, not the counter map: the stats are
 	// per-policy independent, but replaying in map order would still
@@ -129,7 +115,7 @@ func (r *DecisionRecorder) Record(now sim.Time, req serve.Request, instances []*
 			continue
 		}
 		st.Picks++
-		if r.statelessPick(p, req, instances) == chosen {
+		if statelessPick(p, req, instances, r.shortPrompt) == chosen {
 			st.Agreed++
 		} else {
 			st.Differed++
@@ -169,7 +155,7 @@ func (r *DecisionRecorder) Record(now sim.Time, req serve.Request, instances []*
 // Stats assembles the routing section, counterfactuals in canonical
 // policy order. Nil receivers (recording disabled) return nil, keeping
 // reports bit-identical when the feature is off.
-func (r *DecisionRecorder) Stats() *RoutingStats {
+func (r *decisionRecorder) Stats() *RoutingStats {
 	if r == nil {
 		return nil
 	}

@@ -279,13 +279,7 @@ func (f *fleet) requeue(now sim.Time, ev serve.Evicted) {
 		return
 	}
 	in := f.members[m].in
-	var err error
-	if f.members[m].role == RolePrefill {
-		err = in.AcceptRequeuedPrefill(now, ev, f.handoffFrom(m))
-	} else {
-		err = in.AcceptRequeued(now, ev)
-	}
-	if err != nil {
+	if err := in.AcceptRequeued(now, ev, f.handoffFrom(m)); err != nil {
 		f.fail(fmt.Errorf("cluster: %s refused requeued request %d: %w", in.Name(), req.ID, err))
 		return
 	}

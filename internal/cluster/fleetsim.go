@@ -24,7 +24,7 @@ type pool struct {
 	ins []*serve.Instance
 	idx []int
 	rt  *router
-	rec *DecisionRecorder
+	rec *decisionRecorder
 }
 
 // fleet is one in-flight fleet simulation — the one engine behind
@@ -138,7 +138,7 @@ func newFleet(cfg Config, split bool, instances []serve.Config, roles []Role, re
 func (f *fleet) newPool(policy Policy) *pool {
 	p := &pool{rt: newRouter(policy, f.cfg.ShortPrompt)}
 	if f.cfg.CounterfactualK > 0 {
-		p.rec = NewDecisionRecorder(policy, f.cfg.ShortPrompt, f.cfg.CounterfactualK)
+		p.rec = newDecisionRecorder(policy, p.rt.shortPrompt, f.cfg.CounterfactualK)
 	}
 	return p
 }
@@ -230,8 +230,12 @@ func (f *fleet) pick(now sim.Time, p *pool, req serve.Request, requeue bool) int
 	return p.idx[i]
 }
 
-// handoffFrom is the prefill-completion callback of member src.
+// handoffFrom is the prefill-completion callback of member src: nil
+// unless src is prefill-only, so other members serve to completion.
 func (f *fleet) handoffFrom(src int) func(sim.Time, serve.Handoff) {
+	if f.members[src].role != RolePrefill {
+		return nil
+	}
 	return func(at sim.Time, h serve.Handoff) { f.handoff(at, src, h, false) }
 }
 
@@ -254,13 +258,7 @@ func (f *fleet) route(now sim.Time, req serve.Request) {
 	in := f.members[m].in
 	f.placed++
 	f.emit(now, serve.EventRouted, req, in.Name(), "")
-	var err error
-	if f.members[m].role == RolePrefill {
-		err = in.AcceptPrefill(now, req, f.handoffFrom(m))
-	} else {
-		err = in.Accept(now, req)
-	}
-	if err != nil {
+	if err := in.Accept(now, req, f.handoffFrom(m)); err != nil {
 		// pick only offers accepting, fitting instances, so Accept
 		// cannot refuse; treat a refusal as the bug it would be.
 		f.fail(fmt.Errorf("cluster: %s refused routed request %d: %w", in.Name(), req.ID, err))

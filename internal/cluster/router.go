@@ -142,8 +142,6 @@ func (r *router) pick(req serve.Request, instances []*serve.Instance) int {
 			}
 		}
 		return -1
-	case LeastKV:
-		return leastBy(req, instances, func(in *serve.Instance) float64 { return in.KVPressure() })
 	case SessionAffinity:
 		if req.SessionID != 0 {
 			if idx, ok := r.sessions[req.SessionID]; ok {
@@ -170,8 +168,21 @@ func (r *router) pick(req serve.Request, instances []*serve.Instance) int {
 			return idx
 		}
 		return leastOutstanding(req, instances)
+	default:
+		return statelessPick(r.policy, req, instances, r.shortPrompt)
+	}
+}
+
+// statelessPick is the pick of the policies that keep no routing state
+// (least-queue, least-kv, platform-aware, prefix-affinity). It only
+// reads the instances, so counterfactual scoring replays it against
+// live fleet state without perturbing anything.
+func statelessPick(p Policy, req serve.Request, instances []*serve.Instance, shortPrompt int64) int {
+	switch p {
+	case LeastKV:
+		return leastBy(req, instances, func(in *serve.Instance) float64 { return in.KVPressure() })
 	case PlatformAware:
-		return pickPlatformAware(req, instances, r.shortPrompt)
+		return pickPlatformAware(req, instances, shortPrompt)
 	case PrefixAffinity:
 		return pickPrefixAffinity(req, instances)
 	default: // LeastQueue
@@ -203,9 +214,8 @@ func pickPrefixAffinity(req serve.Request, instances []*serve.Instance) int {
 	return best
 }
 
-// pickPlatformAware is the stateless regime-split pick, factored out so
-// counterfactual scoring can replay it read-only against live fleet
-// state without touching router internals.
+// pickPlatformAware is the stateless regime-split pick: short prompts
+// prefer coupled instances, long ones loosely-coupled instances.
 func pickPlatformAware(req serve.Request, instances []*serve.Instance, shortPrompt int64) int {
 	if req.PromptLen <= 0 {
 		// Unknown length (the instance will fall back to its

@@ -171,13 +171,20 @@ func Run(req Request) (*Result, error) {
 		return nil, err
 	}
 
-	tr := b.Trace()
+	res := ex.result()
+	res.CompileTime = compileTime(req)
+	return res, nil
+}
+
+// result assembles the Result of a traced run: TTFT is the trace span,
+// with launches, kernels, and busy and idle times read off the run.
+func (ex *executor) result() *Result {
+	tr := ex.builder.Trace()
 	start, end := tr.Span()
 	res := &Result{
-		Request:      req,
+		Request:      ex.req,
 		Trace:        tr,
 		TTFT:         end - start,
-		CompileTime:  compileTime(req),
 		HostLaunches: ex.rt.Launches(),
 		KernelCount:  len(tr.Kernels()),
 		GPUBusy:      ex.rt.GPUBusy(),
@@ -185,7 +192,7 @@ func Run(req Request) (*Result, error) {
 	}
 	res.GPUIdle = res.TTFT - res.GPUBusy
 	res.CPUIdle = res.TTFT - res.CPUBusy
-	return res, nil
+	return res
 }
 
 // attention is the attention implementation the mode's graphs use:
@@ -265,6 +272,9 @@ func (ex *executor) transferOutputs(g *ops.Graph) {
 // costs host dispatch time, children execute in order, then the
 // operator's kernels launch. Operator trace spans cover their children,
 // which is the containment structure SKIP's parent linking relies on.
+// The walk continues the runtime's timeline and ends on a device
+// synchronization — the per-iteration sync PyTorch generation loops
+// perform when sampling the next token on the host.
 func (ex *executor) runEager(g *ops.Graph) {
 	ex.transferInputs(g)
 	for _, n := range g.Nodes {

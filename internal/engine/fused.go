@@ -79,8 +79,7 @@ func RunFused(req Request, chainLen int, app FusionApplication) (*FusedRunResult
 	b.Meta("platform", req.Platform.Name)
 	b.Meta("model", req.Model.Name)
 	b.Meta("mode", fmt.Sprintf("ps-fused-L%d-%s", chainLen, app))
-	rt := cuda.NewRuntime(req.Platform, b, mainThreadTID)
-	ex := &executor{req: req, rt: rt, builder: b}
+	ex := &executor{req: req, rt: cuda.NewRuntime(req.Platform, b, mainThreadTID), builder: b}
 
 	switch app {
 	case LaunchSavingsOnly:
@@ -91,21 +90,8 @@ func RunFused(req Request, chainLen int, app FusionApplication) (*FusedRunResult
 		return nil, fmt.Errorf("engine: unknown fusion application %v", app)
 	}
 
-	tr := b.Trace()
-	start, end := tr.Span()
-	res := &Result{
-		Request:      req,
-		Trace:        tr,
-		TTFT:         end - start,
-		HostLaunches: rt.Launches(),
-		KernelCount:  len(tr.Kernels()),
-		GPUBusy:      rt.GPUBusy(),
-		CPUBusy:      ex.cpuBusy,
-	}
-	res.GPUIdle = res.TTFT - res.GPUBusy
-	res.CPUIdle = res.TTFT - res.CPUBusy
 	return &FusedRunResult{
-		Result:         res,
+		Result:         ex.result(),
 		ChainLength:    chainLen,
 		FusedInstances: len(positions),
 		LaunchesSaved:  len(positions) * (chainLen - 1),

@@ -5,7 +5,6 @@ import (
 
 	"github.com/skipsim/skip/internal/cuda"
 	"github.com/skipsim/skip/internal/models"
-	"github.com/skipsim/skip/internal/ops"
 	"github.com/skipsim/skip/internal/sim"
 	"github.com/skipsim/skip/internal/trace"
 )
@@ -68,7 +67,7 @@ func RunGenerate(req Request, newTokens int) (*GenerateResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ex.runEagerOn(rt, prefill)
+	ex.runEager(prefill)
 	ttftEnd := rt.CPU.Now()
 	prefillBusy := rt.GPUBusy()
 	prefillKernels := rt.Launches()
@@ -87,7 +86,7 @@ func RunGenerate(req Request, newTokens int) (*GenerateResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		ex.runEagerOn(rt, step)
+		ex.runEager(step)
 	}
 	end := rt.CPU.Now()
 	res.DecodeTime = end - ttftEnd
@@ -97,16 +96,4 @@ func RunGenerate(req Request, newTokens int) (*GenerateResult, error) {
 	res.DecodeKernelsPerStep = (rt.Launches() - prefillKernels) / newTokens
 	res.Trace = b.Trace()
 	return res, nil
-}
-
-// runEagerOn walks one graph on an existing runtime (continuing the
-// timeline), synchronizing at the end — the per-iteration sync PyTorch
-// generation loops perform when sampling the next token on the host.
-func (ex *executor) runEagerOn(rt *cuda.Runtime, g *ops.Graph) {
-	ex.transferInputs(g)
-	for _, n := range g.Nodes {
-		ex.execNode(n)
-	}
-	rt.Synchronize()
-	ex.transferOutputs(g)
 }

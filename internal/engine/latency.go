@@ -220,7 +220,7 @@ func (k *oracleKey) decodeLatency(key stepKey) (sim.Time, error) {
 		return 0, err
 	}
 	ex := k.executor(key)
-	ex.runEagerOn(ex.rt, g)
+	ex.runEager(g)
 	return ex.rt.CPU.Now(), nil
 }
 

@@ -247,7 +247,7 @@ func TestStepModelDecodeMatchesRecordedExecution(t *testing.T) {
 						b := trace.NewBuilder()
 						req := Request{Platform: p, Model: m, Batch: batch, Seq: kv, Mode: mode}
 						ex := &executor{req: req, rt: cuda.NewRuntime(p, b, mainThreadTID), builder: b}
-						ex.runEagerOn(ex.rt, g)
+						ex.runEager(g)
 						want := ex.rt.CPU.Now()
 						if _, end := b.Trace().Span(); end != want {
 							t.Fatalf("%s/%s/%v: recorded trace ends at %v, decode clock at %v", p.Name, m.Name, mode, end, want)

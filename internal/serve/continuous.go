@@ -57,7 +57,7 @@ type contRequest struct {
 	// handoff, when set, marks a prefill-only request: the moment its
 	// prefill completes (first token emitted), the request leaves this
 	// instance — KV released — and the callback receives the handoff
-	// state to resume decoding elsewhere (see Instance.AcceptPrefill).
+	// state to resume decoding elsewhere (see Instance.Accept).
 	handoff func(now sim.Time, h Handoff)
 	// resumed marks a request continuing mid-stream from another
 	// instance's prefill: TTFT is already anchored and the request never

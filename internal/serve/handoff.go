@@ -7,14 +7,14 @@ import (
 )
 
 // Prefill/decode disaggregation support: a request can run its prompt
-// phase on one instance (AcceptPrefill), stop the moment prefill
-// completes, and resume decoding mid-stream on another (Resume). The
-// state crossing instances is a Handoff — the resolved lengths, the
-// tokens already streamed, the TTFT anchor, and the KV-cache extent to
-// ship. The serving layer itself moves no bytes: pricing the transfer
-// over the interconnect model is the fleet engine's job
-// (internal/cluster), which receives the Handoff in a callback and
-// decides where and when the request resumes.
+// phase on one instance (Accept with a handoff callback), stop the
+// moment prefill completes, and resume decoding mid-stream on another
+// (Resume). The state crossing instances is a Handoff — the resolved
+// lengths, the tokens already streamed, the TTFT anchor, and the
+// KV-cache extent to ship. The serving layer itself moves no bytes:
+// pricing the transfer over the interconnect model is the fleet
+// engine's job (internal/cluster), which receives the Handoff in a
+// callback and decides where and when the request resumes.
 
 // Handoff is the state of a request leaving a prefill instance: enough
 // to resume generation on any instance serving the same model.
@@ -34,32 +34,6 @@ type Handoff struct {
 	// KVLen is the cache extent in token positions (prompt + generated)
 	// — what the transfer model prices.
 	KVLen int64
-}
-
-// AcceptPrefill hands the request to the instance for prompt processing
-// only: it queues, admits, and prefills exactly like Accept, but the
-// moment its first token is emitted the request leaves this instance
-// (KV released) and fn receives the handoff state. fn runs inside the
-// calendar event that completed the prefill, so it may route, schedule
-// transfers, and resume the request elsewhere at calendar time.
-// Requests that generate exactly one token never hand off — their
-// single token completes them during prefill, and they settle here as
-// ordinary completions.
-func (in *Instance) AcceptPrefill(now sim.Time, req Request, fn func(now sim.Time, h Handoff)) error {
-	if fn == nil {
-		return fmt.Errorf("serve: instance %s: AcceptPrefill needs a handoff callback", in.name)
-	}
-	if !in.Accepting() {
-		return fmt.Errorf("serve: instance %s is %s and accepts no new work", in.name, in.s.state)
-	}
-	cr, err := in.s.newRequest(req)
-	if err != nil {
-		return err
-	}
-	cr.handoff = fn
-	in.routed++
-	in.s.arrive(now, cr)
-	return nil
 }
 
 // FitsHandoff reports whether a handed-off request's lifetime KV

@@ -64,7 +64,16 @@ func (in *Instance) Fits(req Request) bool {
 // inside a calendar event at the request's arrival instant — the
 // cluster front-end's routing callback. It fails if the request can
 // never fit (see Fits).
-func (in *Instance) Accept(now sim.Time, req Request) error {
+//
+// A nil handoff serves the request to completion. A non-nil one makes
+// it prefill-only: the moment its first token is emitted the request
+// leaves this instance (KV released) and handoff receives its state,
+// inside the calendar event that completed the prefill, so it may
+// route, schedule transfers, and resume the request elsewhere at
+// calendar time. Requests that generate exactly one token never hand
+// off — their single token completes them during prefill, and they
+// settle here as ordinary completions.
+func (in *Instance) Accept(now sim.Time, req Request, handoff func(now sim.Time, h Handoff)) error {
 	if !in.Accepting() {
 		return fmt.Errorf("serve: instance %s is %s and accepts no new work", in.name, in.s.state)
 	}
@@ -72,6 +81,7 @@ func (in *Instance) Accept(now sim.Time, req Request) error {
 	if err != nil {
 		return err
 	}
+	cr.handoff = handoff
 	in.routed++
 	in.s.arrive(now, cr)
 	return nil

@@ -26,7 +26,7 @@ func TestInstanceMatchesSimulate(t *testing.T) {
 	for i := range reqs {
 		req := reqs[i]
 		cal.Schedule(req.Arrival, func(now sim.Time) {
-			if err := in.Accept(now, req); err != nil {
+			if err := in.Accept(now, req, nil); err != nil {
 				t.Errorf("accept %d: %v", req.ID, err)
 			}
 		})
@@ -72,7 +72,7 @@ func TestInstanceSharedCalendarInterleaves(t *testing.T) {
 			dst = b
 		}
 		cal.Schedule(req.Arrival, func(now sim.Time) {
-			if err := dst.Accept(now, req); err != nil {
+			if err := dst.Accept(now, req, nil); err != nil {
 				t.Errorf("accept %d: %v", req.ID, err)
 			}
 		})
@@ -112,7 +112,7 @@ func TestInstanceFitsAndAcceptReject(t *testing.T) {
 	if in.Fits(big) {
 		t.Error("64-token lifetime cannot fit a 40-token budget")
 	}
-	if err := in.Accept(0, big); err == nil {
+	if err := in.Accept(0, big, nil); err == nil {
 		t.Error("accepting an infeasible request should fail")
 	}
 	if in.Routed() != 0 {
@@ -136,7 +136,7 @@ func TestInstanceLoadAccessors(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		req := Request{ID: i}
 		cal.Schedule(0, func(now sim.Time) {
-			if err := in.Accept(now, req); err != nil {
+			if err := in.Accept(now, req, nil); err != nil {
 				t.Errorf("accept: %v", err)
 			}
 		})

@@ -93,7 +93,7 @@ type Evicted struct {
 	// FirstToken / HasFirst anchor TTFT accounting across the requeue.
 	FirstToken sim.Time
 	HasFirst   bool
-	// Prefill marks a prefill-only (AcceptPrefill) request that had not
+	// Prefill marks a prefill-only (handoff-bearing) request that had not
 	// yet handed off; the fleet layer re-places it on the prefill pool.
 	Prefill bool
 }
@@ -151,23 +151,10 @@ func (in *Instance) Kill(now sim.Time) []Evicted {
 // latency samples and token throughput count exactly once across the
 // requeue. The request recomputes from scratch (prompt included).
 // Requests whose first token was already streamed never abandon — their
-// user is mid-stream, exactly like a disaggregated resume.
-func (in *Instance) AcceptRequeued(now sim.Time, ev Evicted) error {
-	return in.acceptRequeued(now, ev, nil)
-}
-
-// AcceptRequeuedPrefill re-places a crash-evicted prefill-only request:
-// exactly AcceptRequeued, except the request hands off again when its
-// (re-run) prefill completes — fn receives the handoff state just as an
-// AcceptPrefill callback would.
-func (in *Instance) AcceptRequeuedPrefill(now sim.Time, ev Evicted, fn func(now sim.Time, h Handoff)) error {
-	if fn == nil {
-		return fmt.Errorf("serve: instance %s: AcceptRequeuedPrefill needs a handoff callback", in.name)
-	}
-	return in.acceptRequeued(now, ev, fn)
-}
-
-func (in *Instance) acceptRequeued(now sim.Time, ev Evicted, fn func(now sim.Time, h Handoff)) error {
+// user is mid-stream, exactly like a disaggregated resume. A non-nil
+// handoff re-places a crash-evicted prefill-only request: it hands off
+// again when its re-run prefill completes, exactly as under Accept.
+func (in *Instance) AcceptRequeued(now sim.Time, ev Evicted, handoff func(now sim.Time, h Handoff)) error {
 	if !in.Accepting() {
 		return fmt.Errorf("serve: instance %s is %s and accepts no requeued work", in.name, in.s.state)
 	}
@@ -179,7 +166,7 @@ func (in *Instance) acceptRequeued(now sim.Time, ev Evicted, fn func(now sim.Tim
 		firstTok:  ev.FirstToken,
 		hasFirst:  ev.HasFirst,
 		resumed:   ev.HasFirst, // mid-stream requests never abandon
-		handoff:   fn,
+		handoff:   handoff,
 	}
 	if need := float64(cr.promptLen+cr.outputLen) * in.s.bytesPerTok; need > in.s.capacity {
 		return fmt.Errorf("serve: instance %s cannot ever fit requeued request %d (prompt %d + output %d tokens)",

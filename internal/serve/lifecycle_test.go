@@ -22,7 +22,7 @@ func TestDrainFinishesInFlightWork(t *testing.T) {
 	for i := range reqs {
 		req := reqs[i]
 		cal.Schedule(req.Arrival, func(now sim.Time) {
-			if err := in.Accept(now, req); err != nil {
+			if err := in.Accept(now, req, nil); err != nil {
 				t.Errorf("accept %d: %v", req.ID, err)
 			}
 		})
@@ -36,7 +36,7 @@ func TestDrainFinishesInFlightWork(t *testing.T) {
 		if in.Accepting() {
 			t.Error("draining instance still reports Accepting")
 		}
-		if err := in.Accept(now, Request{ID: 999}); err == nil {
+		if err := in.Accept(now, Request{ID: 999}, nil); err == nil {
 			t.Error("draining instance accepted fresh work")
 		}
 	})
@@ -88,7 +88,7 @@ func TestKillEvictsEverything(t *testing.T) {
 	for i := range reqs {
 		req := reqs[i]
 		cal.Schedule(req.Arrival, func(now sim.Time) {
-			if err := in.Accept(now, req); err != nil {
+			if err := in.Accept(now, req, nil); err != nil {
 				t.Errorf("accept %d: %v", req.ID, err)
 			}
 		})
@@ -151,7 +151,7 @@ func TestAcceptRequeuedSettlesExactlyOnce(t *testing.T) {
 	for i := range reqs {
 		req := reqs[i]
 		cal.Schedule(req.Arrival, func(now sim.Time) {
-			if err := a.Accept(now, req); err != nil {
+			if err := a.Accept(now, req, nil); err != nil {
 				t.Errorf("accept %d: %v", req.ID, err)
 			}
 		})
@@ -161,7 +161,7 @@ func TestAcceptRequeuedSettlesExactlyOnce(t *testing.T) {
 	cal.Schedule(reqs[len(reqs)-1].Arrival+20*sim.Millisecond, func(now sim.Time) {
 		evs := a.Kill(now)
 		for _, ev := range evs {
-			if err := b.AcceptRequeued(now, ev); err != nil {
+			if err := b.AcceptRequeued(now, ev, nil); err != nil {
 				t.Errorf("requeue %d: %v", ev.Req.ID, err)
 			}
 		}
@@ -209,7 +209,7 @@ func TestSlowFactorStretchesIterations(t *testing.T) {
 		for i := range reqs {
 			req := reqs[i]
 			cal.Schedule(req.Arrival, func(now sim.Time) {
-				if err := in.Accept(now, req); err != nil {
+				if err := in.Accept(now, req, nil); err != nil {
 					t.Errorf("accept %d: %v", req.ID, err)
 				}
 			})

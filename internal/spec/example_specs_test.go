@@ -3,6 +3,8 @@ package spec
 import (
 	"path/filepath"
 	"testing"
+
+	"github.com/skipsim/skip/internal/serve"
 )
 
 // TestExampleSpecsValidate walks every shipped example spec and runs it
@@ -28,7 +30,7 @@ func TestExampleSpecsValidate(t *testing.T) {
 			t.Errorf("%s: %v", filepath.Base(path), err)
 		}
 		if s.Workload != nil && s.Workload.TraceFile != "" {
-			if _, err := s.requests(); err != nil {
+			if _, err := serve.LoadTraceFile(s.resolve(s.Workload.TraceFile)); err != nil {
 				t.Errorf("%s: trace artifact: %v", filepath.Base(path), err)
 			}
 		}

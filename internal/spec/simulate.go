@@ -6,9 +6,7 @@ import (
 	"github.com/skipsim/skip/internal/cluster"
 	"github.com/skipsim/skip/internal/engine"
 	"github.com/skipsim/skip/internal/hw"
-	"github.com/skipsim/skip/internal/kvcache"
 	"github.com/skipsim/skip/internal/metrics"
-	"github.com/skipsim/skip/internal/models"
 	"github.com/skipsim/skip/internal/serve"
 	"github.com/skipsim/skip/internal/sim"
 )
@@ -111,10 +109,11 @@ func WithSweepWorkers(n int) Option {
 // caller's observer with progress ticks interleaved, then the windowed
 // timeline aggregator an observability.timeline section requests (nil
 // when absent). A timeline also sets cfg.SampleWindow, which turns on
-// the EventStateSample level feed the aggregator reads. initial seeds
-// the active-instance level before any join/leave events; fleet-shape
-// series are only emitted for multi-instance kinds, and the cache
-// series only when a prefix cache is actually configured.
+// the EventStateSample level feed the aggregator reads; the SLO and the
+// cache flag come from cfg. initial seeds the active-instance level
+// before any join/leave events; fleet-shape series are only emitted for
+// multi-instance kinds, and the cache series only when a prefix cache
+// is actually configured.
 func (s *Spec) observe(o *options, cfg *serve.Config, kind Kind, total, initial int) (serve.Observer, *metrics.Aggregator) {
 	obs := progressObserver(o.observer, total, o.progressEvery)
 	if s.Observability == nil || s.Observability.Timeline == nil {
@@ -122,19 +121,15 @@ func (s *Spec) observe(o *options, cfg *serve.Config, kind Kind, total, initial 
 	}
 	tl := s.Observability.Timeline
 	cfg.SampleWindow = sim.Time(tl.IntervalMs * 1e6)
-	var slo sim.Time
-	if s.Serve != nil {
-		slo = sim.Time(s.Serve.TTFTSLOMs * 1e6)
-	}
 	fleet := kind == KindCluster || kind == KindDisagg
 	agg := metrics.NewAggregator(metrics.AggregatorConfig{
 		Interval:         cfg.SampleWindow,
 		PerInstance:      tl.PerInstance,
-		SLO:              slo,
+		SLO:              cfg.TTFTSLO,
 		InitialInstances: initial,
 		FleetSeries:      fleet,
 		TransferSeries:   kind == KindDisagg,
-		CacheSeries:      fleet && s.Fleet.KVCache != nil,
+		CacheSeries:      fleet && cfg.KVCache != nil,
 	})
 	if obs == nil {
 		return agg.Observe, agg
@@ -142,14 +137,15 @@ func (s *Spec) observe(o *options, cfg *serve.Config, kind Kind, total, initial 
 	return func(e serve.Event) { obs(e); agg.Observe(e) }, agg
 }
 
-// Simulate validates the spec and dispatches it to the engine, serving,
-// or cluster layer (see Kind), returning a unified Report; a spec with
-// a sweep section runs once per swept value and returns the ordered
-// series. The simulation is deterministic for a fixed spec — sweep
+// Simulate validates and lowers the spec and dispatches it to the
+// engine, serving, or cluster layer (see Kind), returning a unified
+// Report; a spec with a sweep section runs once per swept value and
+// returns the ordered series. The simulation is deterministic for a fixed spec — sweep
 // points included, at any worker count: CLI, bench, and library callers
 // sharing a spec reproduce identical numbers.
 func Simulate(s *Spec, opts ...Option) (*Report, error) {
-	if err := s.Validate(); err != nil {
+	l, err := s.lower()
+	if err != nil {
 		return nil, err
 	}
 	var o options
@@ -160,16 +156,15 @@ func Simulate(s *Spec, opts ...Option) (*Report, error) {
 		o.observer = stampSeq(o.observer)
 	}
 	var rep *Report
-	var err error
 	switch s.Kind() {
 	case KindSweep:
 		rep, err = s.simulateSweep(&o)
 	case KindRun:
-		rep, err = s.simulateRun()
+		rep, err = s.simulateRun(l.run)
 	case KindServe:
-		rep, err = s.simulateServe(&o)
+		rep, err = s.simulateServe(&o, l)
 	default:
-		rep, err = s.simulateFleet(&o)
+		rep, err = s.simulateFleet(&o, l)
 	}
 	if err != nil {
 		return nil, err
@@ -195,36 +190,21 @@ func stampSeq(obs serve.Observer) serve.Observer {
 	}
 }
 
-// platform resolves the top-level platform reference.
-func (s *Spec) platform() (*hw.Platform, error) {
-	if s.PlatformFile != "" {
-		return hw.LoadPlatformFile(s.resolve(s.PlatformFile))
+// platform is the catalog platform lower resolved, or the
+// platform_file definition, read here because validation does no file
+// I/O.
+func (s *Spec) platform(p *hw.Platform) (*hw.Platform, error) {
+	if s.PlatformFile == "" {
+		return p, nil
 	}
-	return hw.ByName(s.Platform)
+	return hw.LoadPlatformFile(s.resolve(s.PlatformFile))
 }
 
-// mode resolves the execution mode, defaulting to eager.
-func (s *Spec) mode() (engine.Mode, error) {
-	if s.Mode == "" {
-		return engine.Eager, nil
-	}
-	return engine.ParseMode(s.Mode)
-}
-
-func (s *Spec) simulateRun() (*Report, error) {
-	p, err := s.platform()
-	if err != nil {
+func (s *Spec) simulateRun(req engine.Request) (*Report, error) {
+	var err error
+	if req.Platform, err = s.platform(req.Platform); err != nil {
 		return nil, err
 	}
-	m, err := models.ByName(s.Model)
-	if err != nil {
-		return nil, err
-	}
-	mode, err := s.mode()
-	if err != nil {
-		return nil, err
-	}
-	req := engine.Request{Platform: p, Model: m, Batch: s.Run.Batch, Seq: s.Run.Seq, Mode: mode}
 	if s.Run.NewTokens > 0 {
 		g, err := engine.RunGenerate(req, s.Run.NewTokens)
 		if err != nil {
@@ -239,101 +219,30 @@ func (s *Spec) simulateRun() (*Report, error) {
 	return &Report{Kind: KindRun, Run: res}, nil
 }
 
-// requests materializes the workload's request stream.
-func (s *Spec) requests() ([]serve.Request, error) {
+// requests materializes the workload's request stream; gen is the
+// generator lower built for a scenario workload.
+func (s *Spec) requests(gen serve.Workload) ([]serve.Request, error) {
 	w := s.Workload
-	if w.TraceFile != "" {
+	switch {
+	case w.TraceFile != "":
 		return serve.LoadTraceFile(s.resolve(w.TraceFile))
-	}
-	if w.Scenario != "" {
-		scen, err := serve.ParseScenario(w.Scenario)
-		if err != nil {
-			return nil, err
-		}
-		sw := serve.Workload{
-			Scenario: scen, N: w.Requests, RatePerSec: w.RatePerSec, Seed: w.Seed,
-			Turns: w.Turns, ContextGrowth: w.ContextGrowth,
-		}
-		if w.Prompt != nil {
-			sw.Prompt = w.Prompt.dist()
-		}
-		if w.Output != nil {
-			sw.Output = w.Output.dist()
-		}
-		return sw.Generate()
-	}
-	if w.Arrival == "uniform" {
+	case w.Scenario != "":
+		return gen.Generate()
+	case w.Arrival == "uniform":
 		return serve.UniformArrivals(w.Requests, sim.Time(w.IntervalMs*1e6))
 	}
 	return serve.PoissonArrivals(w.Requests, w.RatePerSec, w.Seed)
 }
 
-func (d *LengthDistSpec) dist() serve.LengthDist {
-	return serve.LengthDist{Mean: d.Mean, Sigma: d.Sigma, Min: d.Min, Max: d.Max}
-}
-
-// serveConfig builds the serve.Config a ServeSpec describes (platform
-// left to the caller: fleet expansion substitutes per-group platforms).
-// A nil ServeSpec yields the defaults.
-func (s *Spec) serveConfig() (serve.Config, error) {
-	v := s.Serve
-	if v == nil {
-		v = &ServeSpec{}
-	}
-	policy, err := serve.ParsePolicy(v.policyName())
-	if err != nil {
-		return serve.Config{}, err
-	}
-	mode, err := s.mode()
-	if err != nil {
-		return serve.Config{}, err
-	}
-	m, err := models.ByName(s.Model)
-	if err != nil {
-		return serve.Config{}, err
-	}
-	cfg := serve.Config{
-		Model: m, Mode: mode, Policy: policy,
-		Seq:              v.Seq,
-		MaxBatch:         v.MaxBatch,
-		BatchSize:        v.BatchSize,
-		MaxWait:          sim.Time(v.MaxWaitMs * 1e6),
-		DefaultOutputLen: v.DefaultOutputTokens,
-		PrefillChunk:     v.PrefillChunk,
-		KVMemoryUtil:     v.KVMemoryUtil,
-		KVCapacityBytes:  v.KVCapacityBytes,
-		TTFTSLO:          sim.Time(v.TTFTSLOMs * 1e6),
-		AbandonAfter:     sim.Time(v.AbandonAfterMs * 1e6),
-		LatencyBucket:    v.LatencyBucket,
-	}
-	if cfg.Seq == 0 {
-		cfg.Seq = 512
-	}
-	if cfg.MaxBatch == 0 {
-		cfg.MaxBatch = 32
-	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = 8
-	}
-	if policy == serve.StaticBatch && cfg.MaxWait == 0 {
-		cfg.MaxWait = 100 * sim.Millisecond
-	}
-	return cfg, nil
-}
-
-func (s *Spec) simulateServe(o *options) (*Report, error) {
-	reqs, err := s.requests()
+func (s *Spec) simulateServe(o *options, l *plan) (*Report, error) {
+	reqs, err := s.requests(l.gen)
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := s.serveConfig()
-	if err != nil {
-		return nil, err
-	}
+	cfg := l.serve
 	var agg *metrics.Aggregator
 	cfg.Observer, agg = s.observe(o, &cfg, KindServe, len(reqs), 1)
-	cfg.Platform, err = s.platform()
-	if err != nil {
+	if cfg.Platform, err = s.platform(cfg.Platform); err != nil {
 		return nil, err
 	}
 	st, err := serve.Simulate(cfg, reqs)
@@ -347,90 +256,31 @@ func (s *Spec) simulateServe(o *options) (*Report, error) {
 	return rep, nil
 }
 
-// simulateFleet is the one fleet front door: it expands the groups
-// over the serve section, wires progress, timeline, decision recording,
-// autoscale and faults, and runs the fleet as one monolithic pool or —
-// with a fleet.disaggregation section — as prefill and decode pools.
-func (s *Spec) simulateFleet(o *options) (*Report, error) {
-	reqs, err := s.requests()
+// simulateFleet is the one fleet front door: it wires progress and
+// timeline observers into the lowered fleet config and runs it as one
+// monolithic pool or — with a fleet.disaggregation section — as prefill
+// and decode pools.
+func (s *Spec) simulateFleet(o *options, l *plan) (*Report, error) {
+	reqs, err := s.requests(l.gen)
 	if err != nil {
 		return nil, err
 	}
-	base, err := s.serveConfig()
-	if err != nil {
-		return nil, err
-	}
-	f := s.Fleet
-	if f.KVCache != nil {
-		base.KVCache, err = f.KVCache.config()
-		if err != nil {
-			return nil, err
-		}
-	}
+	cfg := l.fleet
 	initial := 0
-	groups := make([]cluster.Group, len(f.Groups))
-	for i, g := range f.Groups {
+	for _, g := range cfg.Groups {
 		initial += g.Count
-		p, err := hw.ByName(g.Platform)
-		if err != nil {
-			return nil, err
-		}
-		role, err := cluster.ParseRole(g.Role)
-		if err != nil {
-			return nil, err
-		}
-		groups[i] = cluster.Group{Platform: p, Count: g.Count, Role: role}
 	}
 	kind := s.Kind()
-	obs, agg := s.observe(o, &base, kind, len(reqs), initial)
-	cfg := cluster.Config{
-		Groups:          groups,
-		Base:            base,
-		ShortPrompt:     f.ShortPrompt,
-		AdmitRatePerSec: f.AdmitRatePerSec,
-		AdmitBurst:      f.AdmitBurst,
-		Observer:        obs,
-	}
-	if s.Observability != nil {
-		cfg.CounterfactualK = s.Observability.CounterfactualK
-	}
-	if f.Autoscale != nil {
-		cfg.Autoscale, err = f.Autoscale.config()
-		if err != nil {
-			return nil, err
-		}
-	}
-	if f.Faults != nil {
-		cfg.Faults = f.Faults.config()
-	}
+	var agg *metrics.Aggregator
+	cfg.Observer, agg = s.observe(o, &cfg.Base, kind, len(reqs), initial)
 	rep := &Report{Kind: kind, Offered: len(reqs)}
 	var horizon sim.Time
-	if d := f.Disaggregation; d != nil {
-		if cfg.PrefillPolicy, err = cluster.ParsePolicy(d.prefillRouterName()); err != nil {
-			return nil, err
-		}
-		if cfg.DecodePolicy, err = cluster.ParsePolicy(d.decodeRouterName()); err != nil {
-			return nil, err
-		}
-		cfg.Transfer = cluster.TransferModel{
-			HostHopMultiplier: d.HostHopMultiplier,
-			BandwidthGBps:     d.BandwidthGBps,
-			OverlapFraction:   d.OverlapFraction,
-		}
-		cfg.LinkAwareDecode = d.LinkAwareDecode
-		if f.Autoscale != nil {
-			if cfg.AutoscaleRole, err = cluster.ParseRole(f.Autoscale.roleName()); err != nil {
-				return nil, err
-			}
-		}
+	if kind == KindDisagg {
 		if rep.Disagg, err = cluster.SimulateDisagg(cfg, reqs); err != nil {
 			return nil, err
 		}
 		horizon = rep.Disagg.Horizon
 	} else {
-		if cfg.PrefillPolicy, err = cluster.ParsePolicy(f.routerName()); err != nil {
-			return nil, err
-		}
 		if rep.Cluster, err = cluster.Simulate(cfg, reqs); err != nil {
 			return nil, err
 		}
@@ -440,64 +290,6 @@ func (s *Spec) simulateFleet(o *options) (*Report, error) {
 		rep.Timeline = agg.Finish(horizon)
 	}
 	return rep, nil
-}
-
-// config builds the cluster.AutoscaleConfig an AutoscaleSpec describes;
-// a spun-up instance is the fleet's base serving config on the named
-// platform.
-func (a *AutoscaleSpec) config() (*cluster.AutoscaleConfig, error) {
-	p, err := hw.ByName(a.Platform)
-	if err != nil {
-		return nil, err
-	}
-	signal, err := cluster.ParseScaleSignal(a.signalName())
-	if err != nil {
-		return nil, err
-	}
-	return &cluster.AutoscaleConfig{
-		Platform:    p,
-		Signal:      signal,
-		Target:      a.Target,
-		Min:         a.Min,
-		Max:         a.Max,
-		Interval:    sim.Time(a.IntervalMs * 1e6),
-		Cooldown:    sim.Time(a.CooldownMs * 1e6),
-		SpinUpDelay: sim.Time(a.SpinUpDelayMs * 1e6),
-		SLOWindow:   a.SLOWindow,
-	}, nil
-}
-
-// config builds the serve.KVCacheConfig a KVCacheSpec describes.
-func (k *KVCacheSpec) config() (*serve.KVCacheConfig, error) {
-	policy, err := kvcache.ParsePolicy(k.policyName())
-	if err != nil {
-		return nil, err
-	}
-	return &serve.KVCacheConfig{
-		BlockTokens:     k.BlockTokens,
-		DeviceBlocks:    k.DeviceBlocks,
-		HostSpillBlocks: k.HostSpillBlocks,
-		Policy:          policy,
-	}, nil
-}
-
-// config builds the cluster.FaultsConfig a FaultsSpec describes.
-func (fc *FaultsSpec) config() *cluster.FaultsConfig {
-	out := &cluster.FaultsConfig{
-		CrashRatePerSec: fc.CrashRatePerSec,
-		Seed:            fc.Seed,
-	}
-	for _, ft := range fc.Schedule {
-		kind, _ := cluster.ParseFaultKind(ft.Kind) // validated already
-		out.Faults = append(out.Faults, cluster.Fault{
-			At:     sim.Time(ft.AtMs * 1e6),
-			Kind:   kind,
-			Target: ft.Instance,
-			Dst:    ft.Dst,
-			Factor: ft.Factor,
-		})
-	}
-	return out
 }
 
 // progressObserver forwards events to obs and interleaves an

@@ -244,3 +244,40 @@ func TestUniformArrivalSpec(t *testing.T) {
 		t.Errorf("completed %d of 6 uniform arrivals", rep.Serve.Completed)
 	}
 }
+
+// TestPlatformFileReadAtSimulate: validation does no file I/O, so a
+// missing platform_file validates and fails only in Simulate, and a
+// file holding a catalog platform reproduces the catalog-named run and
+// serve reports exactly.
+func TestPlatformFileReadAtSimulate(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gh200.json")
+	if err := hw.GH200().SavePlatformFile(path); err != nil {
+		t.Fatal(err)
+	}
+	runSpec := &Spec{Platform: hw.GH200Name, Model: "llama-3.2-1B", Run: &RunSpec{Batch: 2, Seq: 128}}
+	for _, named := range []*Spec{runSpec, testServeSpec()} {
+		want, err := Simulate(named)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromFile := *named
+		fromFile.Platform, fromFile.PlatformFile = "", path
+		got, err := Simulate(&fromFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, _ := ReportJSON(want)
+		gotJSON, _ := ReportJSON(got)
+		if string(gotJSON) != string(wantJSON) {
+			t.Errorf("%v spec: platform_file report differs from the catalog-named one", want.Kind)
+		}
+
+		fromFile.PlatformFile = filepath.Join(t.TempDir(), "missing.json")
+		if err := fromFile.Validate(); err != nil {
+			t.Errorf("%v spec: Validate read the platform file: %v", want.Kind, err)
+		}
+		if _, err := Simulate(&fromFile); err == nil {
+			t.Errorf("%v spec: Simulate accepted a missing platform_file", want.Kind)
+		}
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"github.com/skipsim/skip/internal/kvcache"
 	"github.com/skipsim/skip/internal/models"
 	"github.com/skipsim/skip/internal/serve"
+	"github.com/skipsim/skip/internal/sim"
 )
 
 // errAt prefixes a validation failure with its JSON path, so "which
@@ -25,101 +26,128 @@ func errAt(path, format string, args ...any) error {
 	return fmt.Errorf("spec: %s: %s", path, msg)
 }
 
+// plan is a validated spec lowered to what its layer runs: run for
+// KindRun, serve for KindServe, fleet (over serve as its Base) for the
+// fleet kinds, and gen for scenario workloads. A platform_file spec
+// leaves the platform nil: the file is read at simulate time.
+type plan struct {
+	run   engine.Request
+	serve serve.Config
+	fleet cluster.Config
+	gen   serve.Workload
+}
+
 // Validate checks the spec for structural coherence (which sections may
 // coexist), resolvable catalog names, and field ranges. Every failure
-// names the offending field by its JSON path.
+// names the offending field by its JSON path. Validation and lowering
+// are one pass — the configs Simulate runs are the ones Validate built
+// — and do no file I/O: platform_file and trace_file are read only at
+// simulate time.
 func (s *Spec) Validate() error {
+	_, err := s.lower()
+	return err
+}
+
+// lower validates the spec and lowers it to the configs its layer runs,
+// resolving every catalog name and enum exactly once.
+func (s *Spec) lower() (*plan, error) {
 	// Section coherence first: the dispatch rules of Kind.
 	switch {
 	case s.Run != nil && (s.Serve != nil || s.Fleet != nil || s.Workload != nil):
-		return errAt("run", "mutually exclusive with workload/serve/fleet sections")
+		return nil, errAt("run", "mutually exclusive with workload/serve/fleet sections")
 	case s.Run == nil && s.Serve == nil && s.Fleet == nil:
-		return errAt("", "needs a run, serve, or fleet section")
+		return nil, errAt("", "needs a run, serve, or fleet section")
 	case s.baseKind() != KindRun && s.Workload == nil:
-		return errAt("workload", "required for %s specs", s.baseKind())
+		return nil, errAt("workload", "required for %s specs", s.baseKind())
 	}
 
 	if s.Model == "" {
-		return errAt("model", "required")
+		return nil, errAt("model", "required")
 	}
-	if _, err := models.ByName(s.Model); err != nil {
-		return errAt("model", "%v", err)
+	m, err := models.ByName(s.Model)
+	if err != nil {
+		return nil, errAt("model", "%v", err)
 	}
+	mode := engine.Eager
 	if s.Mode != "" {
-		if _, err := engine.ParseMode(s.Mode); err != nil {
-			return errAt("mode", "%v", err)
+		if mode, err = engine.ParseMode(s.Mode); err != nil {
+			return nil, errAt("mode", "%v", err)
 		}
 	}
 
 	// Platform: run and serve specs name one (or load a file); fleet
 	// specs name platforms per group instead.
+	var p *hw.Platform
 	if s.Fleet != nil {
 		if s.Platform != "" || s.PlatformFile != "" {
-			return errAt("platform", "fleet specs name platforms per group; drop the top-level platform")
+			return nil, errAt("platform", "fleet specs name platforms per group; drop the top-level platform")
 		}
 	} else {
 		switch {
 		case s.Platform != "" && s.PlatformFile != "":
-			return errAt("platform", "platform and platform_file are mutually exclusive")
+			return nil, errAt("platform", "platform and platform_file are mutually exclusive")
 		case s.Platform == "" && s.PlatformFile == "":
-			return errAt("platform", "required (or set platform_file)")
+			return nil, errAt("platform", "required (or set platform_file)")
 		case s.Platform != "":
-			if _, err := hw.ByName(s.Platform); err != nil {
-				return errAt("platform", "%v", err)
+			if p, err = hw.ByName(s.Platform); err != nil {
+				return nil, errAt("platform", "%v", err)
 			}
 		}
 	}
 
+	l := &plan{}
 	if s.Run != nil {
 		if err := s.Run.validate(); err != nil {
-			return err
+			return nil, err
 		}
+		l.run = engine.Request{Platform: p, Model: m, Batch: s.Run.Batch, Seq: s.Run.Seq, Mode: mode}
 	}
 	if s.Workload != nil {
-		if err := s.Workload.validate(); err != nil {
-			return err
+		if l.gen, err = s.Workload.validate(); err != nil {
+			return nil, err
 		}
 	}
-	if s.Serve != nil {
-		if err := s.Serve.validate(s.Fleet != nil); err != nil {
-			return err
+	// Serve and fleet specs run a serve config (a fleet's per-instance
+	// base); a missing serve section yields the defaults.
+	if s.Run == nil {
+		if l.serve, err = s.Serve.validate(s.Fleet != nil); err != nil {
+			return nil, err
 		}
+		l.serve.Platform, l.serve.Model, l.serve.Mode = p, m, mode
 	}
 	if s.Fleet != nil {
-		if err := s.Fleet.validate(); err != nil {
-			return err
+		if l.fleet, err = s.Fleet.validate(l.serve); err != nil {
+			return nil, err
 		}
 	}
 
 	// Cross-section: the legacy prefill-only policies ignore
 	// per-request lengths, so scenario and trace workloads (whose whole
 	// point is those lengths) refuse to feed them.
-	if s.baseKind() == KindServe && s.Serve != nil && s.Workload != nil {
-		policy, _ := serve.ParsePolicy(s.Serve.policyName())
-		if policy == serve.StaticBatch || policy == serve.GreedyBatch {
-			if s.Workload.Scenario != "" || s.Workload.TraceFile != "" {
-				return errAt("serve.policy", "%q is prefill-only and ignores per-request lengths; use a bare arrival workload with it", s.Serve.policyName())
-			}
+	if s.baseKind() == KindServe && legacyPolicy(l.serve.Policy) {
+		if s.Workload.Scenario != "" || s.Workload.TraceFile != "" {
+			return nil, errAt("serve.policy", "%q is prefill-only and ignores per-request lengths; use a bare arrival workload with it", s.Serve.policyName())
 		}
 	}
 
 	// Cross-section: the slo-attainment signal is meaningless without a
 	// TTFT objective — every sample would count as met and the
 	// controller could only ever shrink.
-	if s.Fleet != nil && s.Fleet.Autoscale != nil && s.Fleet.Autoscale.signalName() == "slo-attainment" {
+	if a := l.fleet.Autoscale; a != nil && a.Signal == cluster.SignalSLOAttainment {
 		if s.Serve == nil || s.Serve.TTFTSLOMs == 0 {
-			return errAt("fleet.autoscale.signal", "the slo-attainment signal needs serve.ttft_slo_ms")
+			return nil, errAt("fleet.autoscale.signal", "the slo-attainment signal needs serve.ttft_slo_ms")
 		}
 	}
 
 	if s.Observability != nil {
-		if err := s.Observability.validate(s); err != nil {
-			return err
+		if err := s.Observability.validate(s, l.serve.Policy); err != nil {
+			return nil, err
 		}
+		l.fleet.CounterfactualK = s.Observability.CounterfactualK
 	}
 	if s.Report != nil {
 		if err := s.Report.validate(s); err != nil {
-			return err
+			return nil, err
 		}
 	}
 
@@ -127,13 +155,19 @@ func (s *Spec) Validate() error {
 	// now-known-coherent base document.
 	if s.Sweep != nil {
 		if err := s.Sweep.validate(s); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return l, nil
 }
 
-func (ob *ObservabilitySpec) validate(s *Spec) error {
+// legacyPolicy reports whether p is one of the prefill-only policies,
+// which ignore per-request lengths and emit no events.
+func legacyPolicy(p serve.Policy) bool {
+	return p == serve.StaticBatch || p == serve.GreedyBatch
+}
+
+func (ob *ObservabilitySpec) validate(s *Spec, policy serve.Policy) error {
 	if ob.CounterfactualK < 0 {
 		return errAt("observability.counterfactual_k", "must be non-negative, got %d", ob.CounterfactualK)
 	}
@@ -149,10 +183,8 @@ func (ob *ObservabilitySpec) validate(s *Spec) error {
 		}
 		// The legacy prefill-only policies emit no events, so there is
 		// nothing to window.
-		if s.baseKind() == KindServe && s.Serve != nil {
-			if policy, _ := serve.ParsePolicy(s.Serve.policyName()); policy == serve.StaticBatch || policy == serve.GreedyBatch {
-				return errAt("observability.timeline", "the %q policy emits no events; timelines need a continuous policy", s.Serve.policyName())
-			}
+		if s.baseKind() == KindServe && legacyPolicy(policy) {
+			return errAt("observability.timeline", "the %q policy emits no events; timelines need a continuous policy", s.Serve.policyName())
 		}
 	}
 	return nil
@@ -257,89 +289,99 @@ func (r *RunSpec) validate() error {
 	return nil
 }
 
-func (w *WorkloadSpec) validate() error {
+// validate checks the workload section and returns the generator a
+// scenario workload runs (zero for trace and bare-arrival workloads).
+func (w *WorkloadSpec) validate() (serve.Workload, error) {
+	var gen serve.Workload
 	if w.TraceFile != "" {
 		// A trace is the complete stream: generator knobs contradict it.
 		switch {
 		case w.Scenario != "":
-			return errAt("workload.trace_file", "mutually exclusive with scenario")
+			return gen, errAt("workload.trace_file", "mutually exclusive with scenario")
 		case w.Arrival != "" || w.Requests != 0 || w.RatePerSec != 0 || w.IntervalMs != 0:
-			return errAt("workload.trace_file", "the trace defines arrivals; drop arrival/requests/rate_per_sec/interval_ms")
+			return gen, errAt("workload.trace_file", "the trace defines arrivals; drop arrival/requests/rate_per_sec/interval_ms")
 		case w.Prompt != nil || w.Output != nil:
-			return errAt("workload.trace_file", "the trace defines lengths; drop prompt/output")
+			return gen, errAt("workload.trace_file", "the trace defines lengths; drop prompt/output")
 		case w.Seed != 0:
-			return errAt("workload.seed", "a replayed trace has no randomness; drop the seed")
+			return gen, errAt("workload.seed", "a replayed trace has no randomness; drop the seed")
 		}
-		return nil
+		return gen, nil
 	}
 
 	if w.Requests <= 0 {
-		return errAt("workload.requests", "must be positive, got %d", w.Requests)
+		return gen, errAt("workload.requests", "must be positive, got %d", w.Requests)
 	}
 	if w.Scenario != "" {
-		if _, err := serve.ParseScenario(w.Scenario); err != nil {
-			return errAt("workload.scenario", "%v", err)
+		scen, err := serve.ParseScenario(w.Scenario)
+		if err != nil {
+			return gen, errAt("workload.scenario", "%v", err)
 		}
 		if w.Arrival != "" && w.Arrival != "poisson" {
-			return errAt("workload.arrival", "scenario generators use poisson arrivals, got %q", w.Arrival)
+			return gen, errAt("workload.arrival", "scenario generators use poisson arrivals, got %q", w.Arrival)
 		}
 		if w.RatePerSec <= 0 {
-			return errAt("workload.rate_per_sec", "must be positive, got %g", w.RatePerSec)
+			return gen, errAt("workload.rate_per_sec", "must be positive, got %g", w.RatePerSec)
 		}
 		if w.IntervalMs != 0 {
-			return errAt("workload.interval_ms", "scenario generators use rate_per_sec, not interval_ms")
+			return gen, errAt("workload.interval_ms", "scenario generators use rate_per_sec, not interval_ms")
+		}
+		gen = serve.Workload{
+			Scenario: scen, N: w.Requests, RatePerSec: w.RatePerSec, Seed: w.Seed,
+			Turns: w.Turns, ContextGrowth: w.ContextGrowth,
 		}
 		if w.Prompt != nil {
 			if err := w.Prompt.validate("workload.prompt"); err != nil {
-				return err
+				return gen, err
 			}
+			gen.Prompt = serve.LengthDist(*w.Prompt)
 		}
 		if w.Output != nil {
 			if err := w.Output.validate("workload.output"); err != nil {
-				return err
+				return gen, err
 			}
+			gen.Output = serve.LengthDist(*w.Output)
 		}
 		if (w.Turns != 0 || w.ContextGrowth != 0) && w.Scenario != "agentic" {
-			return errAt("workload.turns", "agentic knobs need scenario \"agentic\", got %q", w.Scenario)
+			return gen, errAt("workload.turns", "agentic knobs need scenario \"agentic\", got %q", w.Scenario)
 		}
 		if w.Turns < 0 {
-			return errAt("workload.turns", "must be non-negative, got %d", w.Turns)
+			return gen, errAt("workload.turns", "must be non-negative, got %d", w.Turns)
 		}
 		if w.ContextGrowth < 0 {
-			return errAt("workload.context_growth", "must be non-negative, got %d", w.ContextGrowth)
+			return gen, errAt("workload.context_growth", "must be non-negative, got %d", w.ContextGrowth)
 		}
-		return nil
+		return gen, nil
 	}
 
 	// Bare arrival process: lengths come from the serve config.
 	if w.Prompt != nil || w.Output != nil {
-		return errAt("workload.prompt", "length distributions need a scenario; bare arrivals use the serve config's lengths")
+		return gen, errAt("workload.prompt", "length distributions need a scenario; bare arrivals use the serve config's lengths")
 	}
 	if w.Turns != 0 || w.ContextGrowth != 0 {
-		return errAt("workload.turns", "agentic knobs need scenario \"agentic\"")
+		return gen, errAt("workload.turns", "agentic knobs need scenario \"agentic\"")
 	}
 	switch w.Arrival {
 	case "", "poisson":
 		if w.RatePerSec <= 0 {
-			return errAt("workload.rate_per_sec", "must be positive, got %g", w.RatePerSec)
+			return gen, errAt("workload.rate_per_sec", "must be positive, got %g", w.RatePerSec)
 		}
 		if w.IntervalMs != 0 {
-			return errAt("workload.interval_ms", "poisson arrivals use rate_per_sec, not interval_ms")
+			return gen, errAt("workload.interval_ms", "poisson arrivals use rate_per_sec, not interval_ms")
 		}
 	case "uniform":
 		if w.IntervalMs <= 0 {
-			return errAt("workload.interval_ms", "must be positive, got %g", w.IntervalMs)
+			return gen, errAt("workload.interval_ms", "must be positive, got %g", w.IntervalMs)
 		}
 		if w.RatePerSec != 0 {
-			return errAt("workload.rate_per_sec", "uniform arrivals use interval_ms, not rate_per_sec")
+			return gen, errAt("workload.rate_per_sec", "uniform arrivals use interval_ms, not rate_per_sec")
 		}
 		if w.Seed != 0 {
-			return errAt("workload.seed", "uniform arrivals are deterministic; drop the seed")
+			return gen, errAt("workload.seed", "uniform arrivals are deterministic; drop the seed")
 		}
 	default:
-		return errAt("workload.arrival", "unknown arrival process %q (have poisson|uniform)", w.Arrival)
+		return gen, errAt("workload.arrival", "unknown arrival process %q (have poisson|uniform)", w.Arrival)
 	}
-	return nil
+	return gen, nil
 }
 
 func (d *LengthDistSpec) validate(path string) error {
@@ -366,39 +408,74 @@ func (v *ServeSpec) policyName() string {
 	return v.Policy
 }
 
-func (v *ServeSpec) validate(inFleet bool) error {
+// validate checks the serve section and lowers it to the serve.Config
+// it describes, defaults applied (platform, model and mode are the
+// caller's). A nil section yields the defaults.
+func (v *ServeSpec) validate(inFleet bool) (serve.Config, error) {
+	if v == nil {
+		v = &ServeSpec{}
+	}
 	policy, err := serve.ParsePolicy(v.policyName())
 	if err != nil {
-		return errAt("serve.policy", "%v", err)
+		return serve.Config{}, errAt("serve.policy", "%v", err)
 	}
 	if inFleet && policy != serve.ContinuousBatch && policy != serve.ChunkedPrefill {
-		return errAt("serve.policy", "fleet instances need a continuous policy, got %q", v.policyName())
+		return serve.Config{}, errAt("serve.policy", "fleet instances need a continuous policy, got %q", v.policyName())
 	}
 	switch {
 	case v.MaxBatch < 0:
-		return errAt("serve.max_batch", "must be non-negative, got %d", v.MaxBatch)
+		err = errAt("serve.max_batch", "must be non-negative, got %d", v.MaxBatch)
 	case v.BatchSize < 0:
-		return errAt("serve.batch_size", "must be non-negative, got %d", v.BatchSize)
+		err = errAt("serve.batch_size", "must be non-negative, got %d", v.BatchSize)
 	case v.MaxWaitMs < 0:
-		return errAt("serve.max_wait_ms", "must be non-negative, got %g", v.MaxWaitMs)
+		err = errAt("serve.max_wait_ms", "must be non-negative, got %g", v.MaxWaitMs)
 	case v.Seq < 0:
-		return errAt("serve.seq", "must be non-negative, got %d", v.Seq)
+		err = errAt("serve.seq", "must be non-negative, got %d", v.Seq)
 	case v.DefaultOutputTokens < 0:
-		return errAt("serve.default_output_tokens", "must be non-negative, got %d", v.DefaultOutputTokens)
+		err = errAt("serve.default_output_tokens", "must be non-negative, got %d", v.DefaultOutputTokens)
 	case v.PrefillChunk < 0:
-		return errAt("serve.prefill_chunk", "must be non-negative, got %d", v.PrefillChunk)
+		err = errAt("serve.prefill_chunk", "must be non-negative, got %d", v.PrefillChunk)
 	case v.KVMemoryUtil < 0 || v.KVMemoryUtil > 1:
-		return errAt("serve.kv_memory_util", "must be in [0,1], got %g", v.KVMemoryUtil)
+		err = errAt("serve.kv_memory_util", "must be in [0,1], got %g", v.KVMemoryUtil)
 	case v.KVCapacityBytes < 0:
-		return errAt("serve.kv_capacity_bytes", "must be non-negative, got %g", v.KVCapacityBytes)
+		err = errAt("serve.kv_capacity_bytes", "must be non-negative, got %g", v.KVCapacityBytes)
 	case v.TTFTSLOMs < 0:
-		return errAt("serve.ttft_slo_ms", "must be non-negative, got %g", v.TTFTSLOMs)
+		err = errAt("serve.ttft_slo_ms", "must be non-negative, got %g", v.TTFTSLOMs)
 	case v.AbandonAfterMs < 0:
-		return errAt("serve.abandon_after_ms", "must be non-negative, got %g", v.AbandonAfterMs)
+		err = errAt("serve.abandon_after_ms", "must be non-negative, got %g", v.AbandonAfterMs)
 	case v.LatencyBucket < 0:
-		return errAt("serve.latency_bucket", "must be non-negative, got %d", v.LatencyBucket)
+		err = errAt("serve.latency_bucket", "must be non-negative, got %d", v.LatencyBucket)
 	}
-	return nil
+	if err != nil {
+		return serve.Config{}, err
+	}
+	cfg := serve.Config{
+		Policy:           policy,
+		Seq:              v.Seq,
+		MaxBatch:         v.MaxBatch,
+		BatchSize:        v.BatchSize,
+		MaxWait:          sim.Time(v.MaxWaitMs * 1e6),
+		DefaultOutputLen: v.DefaultOutputTokens,
+		PrefillChunk:     v.PrefillChunk,
+		KVMemoryUtil:     v.KVMemoryUtil,
+		KVCapacityBytes:  v.KVCapacityBytes,
+		TTFTSLO:          sim.Time(v.TTFTSLOMs * 1e6),
+		AbandonAfter:     sim.Time(v.AbandonAfterMs * 1e6),
+		LatencyBucket:    v.LatencyBucket,
+	}
+	if cfg.Seq == 0 {
+		cfg.Seq = 512
+	}
+	if cfg.MaxBatch == 0 {
+		cfg.MaxBatch = 32
+	}
+	if cfg.BatchSize == 0 {
+		cfg.BatchSize = 8
+	}
+	if policy == serve.StaticBatch && cfg.MaxWait == 0 {
+		cfg.MaxWait = 100 * sim.Millisecond
+	}
+	return cfg, nil
 }
 
 // routerName is the fleet router with its default applied.
@@ -451,30 +528,39 @@ func ParseFleet(spec string) ([]FleetGroupSpec, error) {
 	return groups, nil
 }
 
-func (f *FleetSpec) validate() error {
+// validate checks the fleet section and lowers it to the cluster.Config
+// it describes, expanded over base (the serve section's config).
+func (f *FleetSpec) validate(base serve.Config) (cluster.Config, error) {
+	var none cluster.Config
 	if len(f.Groups) == 0 {
-		return errAt("fleet.groups", "needs at least one group")
+		return none, errAt("fleet.groups", "needs at least one group")
+	}
+	cfg := cluster.Config{
+		Base:            base,
+		ShortPrompt:     f.ShortPrompt,
+		AdmitRatePerSec: f.AdmitRatePerSec,
+		AdmitBurst:      f.AdmitBurst,
 	}
 	seen := make(map[string]bool)
 	var prefillable, decodable int
 	for i, g := range f.Groups {
 		path := fmt.Sprintf("fleet.groups[%d]", i)
 		if g.Platform == "" {
-			return errAt(path+".platform", "required")
+			return none, errAt(path+".platform", "required")
 		}
 		p, err := hw.ByName(g.Platform)
 		if err != nil {
-			return errAt(path+".platform", "%v", err)
+			return none, errAt(path+".platform", "%v", err)
 		}
 		if g.Count <= 0 {
-			return errAt(path+".count", "must be positive, got %d", g.Count)
+			return none, errAt(path+".count", "must be positive, got %d", g.Count)
 		}
 		role, err := cluster.ParseRole(g.Role)
 		if err != nil {
-			return errAt(path+".role", "%v", err)
+			return none, errAt(path+".role", "%v", err)
 		}
 		if g.Role != "" && f.Disaggregation == nil {
-			return errAt(path+".role", "group roles need a fleet.disaggregation section")
+			return none, errAt(path+".role", "group roles need a fleet.disaggregation section")
 		}
 		if role != cluster.RolePrefill {
 			decodable += g.Count
@@ -488,75 +574,95 @@ func (f *FleetSpec) validate() error {
 		if f.Disaggregation != nil {
 			key += "/" + role.String()
 			if seen[key] {
-				return errAt(path+".platform", "%q appears twice in role %q; merge the counts into one group", p.Name, role)
+				return none, errAt(path+".platform", "%q appears twice in role %q; merge the counts into one group", p.Name, role)
 			}
 		} else if seen[key] {
-			return errAt(path+".platform", "%q appears twice; merge the counts into one group", p.Name)
+			return none, errAt(path+".platform", "%q appears twice; merge the counts into one group", p.Name)
 		}
 		seen[key] = true
+		cfg.Groups = append(cfg.Groups, cluster.Group{Platform: p, Count: g.Count, Role: role})
 	}
-	if _, err := cluster.ParsePolicy(f.routerName()); err != nil {
-		return errAt("fleet.router", "%v", err)
+	var err error
+	if cfg.PrefillPolicy, err = cluster.ParsePolicy(f.routerName()); err != nil {
+		return none, errAt("fleet.router", "%v", err)
 	}
 	switch {
 	case f.ShortPrompt < 0:
-		return errAt("fleet.short_prompt", "must be non-negative, got %d", f.ShortPrompt)
+		return none, errAt("fleet.short_prompt", "must be non-negative, got %d", f.ShortPrompt)
 	case f.AdmitRatePerSec < 0:
-		return errAt("fleet.admit_rate_per_sec", "must be non-negative, got %g", f.AdmitRatePerSec)
+		return none, errAt("fleet.admit_rate_per_sec", "must be non-negative, got %g", f.AdmitRatePerSec)
 	case f.AdmitBurst < 0:
-		return errAt("fleet.admit_burst", "must be non-negative, got %g", f.AdmitBurst)
+		return none, errAt("fleet.admit_burst", "must be non-negative, got %g", f.AdmitBurst)
 	}
 	if d := f.Disaggregation; d != nil {
 		if f.Router != "" {
-			return errAt("fleet.router", "disaggregated fleets route per pool; use disaggregation.prefill_router / decode_router")
+			return none, errAt("fleet.router", "disaggregated fleets route per pool; use disaggregation.prefill_router / decode_router")
 		}
 		if prefillable == 0 {
-			return errAt("fleet.disaggregation", "fleet has no prefill-capable (role prefill or both) instances")
+			return none, errAt("fleet.disaggregation", "fleet has no prefill-capable (role prefill or both) instances")
 		}
 		if decodable == 0 {
-			return errAt("fleet.disaggregation", "fleet has no decode-capable (role decode or both) instances")
+			return none, errAt("fleet.disaggregation", "fleet has no decode-capable (role decode or both) instances")
 		}
-		if _, err := cluster.ParsePolicy(d.prefillRouterName()); err != nil {
-			return errAt("fleet.disaggregation.prefill_router", "%v", err)
+		if cfg.PrefillPolicy, err = cluster.ParsePolicy(d.prefillRouterName()); err != nil {
+			return none, errAt("fleet.disaggregation.prefill_router", "%v", err)
 		}
-		if _, err := cluster.ParsePolicy(d.decodeRouterName()); err != nil {
-			return errAt("fleet.disaggregation.decode_router", "%v", err)
+		if cfg.DecodePolicy, err = cluster.ParsePolicy(d.decodeRouterName()); err != nil {
+			return none, errAt("fleet.disaggregation.decode_router", "%v", err)
 		}
 		if d.HostHopMultiplier < 0 {
-			return errAt("fleet.disaggregation.host_hop_multiplier", "must be non-negative, got %g", d.HostHopMultiplier)
+			return none, errAt("fleet.disaggregation.host_hop_multiplier", "must be non-negative, got %g", d.HostHopMultiplier)
 		}
 		if d.BandwidthGBps < 0 {
-			return errAt("fleet.disaggregation.bandwidth_gbps", "must be non-negative, got %g", d.BandwidthGBps)
+			return none, errAt("fleet.disaggregation.bandwidth_gbps", "must be non-negative, got %g", d.BandwidthGBps)
 		}
 		if d.OverlapFraction < 0 || d.OverlapFraction >= 1 {
-			return errAt("fleet.disaggregation.overlap_fraction", "must be in [0,1), got %g", d.OverlapFraction)
+			return none, errAt("fleet.disaggregation.overlap_fraction", "must be in [0,1), got %g", d.OverlapFraction)
 		}
+		cfg.Transfer = cluster.TransferModel{
+			HostHopMultiplier: d.HostHopMultiplier,
+			BandwidthGBps:     d.BandwidthGBps,
+			OverlapFraction:   d.OverlapFraction,
+		}
+		cfg.LinkAwareDecode = d.LinkAwareDecode
 	}
 	if f.Autoscale != nil {
-		if err := f.Autoscale.validate(f.Disaggregation != nil); err != nil {
-			return err
+		var role cluster.Role
+		if cfg.Autoscale, role, err = f.Autoscale.validate(f.Disaggregation != nil); err != nil {
+			return none, err
+		}
+		// A monolithic fleet's joins serve end to end (RoleBoth).
+		if f.Disaggregation != nil {
+			cfg.AutoscaleRole = role
 		}
 	}
 	if f.Faults != nil {
-		if err := f.Faults.validate(f.Disaggregation != nil); err != nil {
-			return err
+		if cfg.Faults, err = f.Faults.validate(f.Disaggregation != nil); err != nil {
+			return none, err
 		}
 	}
 	if k := f.KVCache; k != nil {
 		if k.BlockTokens < 0 {
-			return errAt("fleet.kv_cache.block_tokens", "must be non-negative, got %d", k.BlockTokens)
+			return none, errAt("fleet.kv_cache.block_tokens", "must be non-negative, got %d", k.BlockTokens)
 		}
 		if k.DeviceBlocks <= 0 {
-			return errAt("fleet.kv_cache.device_blocks", "must be positive, got %d", k.DeviceBlocks)
+			return none, errAt("fleet.kv_cache.device_blocks", "must be positive, got %d", k.DeviceBlocks)
 		}
 		if k.HostSpillBlocks < 0 {
-			return errAt("fleet.kv_cache.host_spill_blocks", "must be non-negative, got %d", k.HostSpillBlocks)
+			return none, errAt("fleet.kv_cache.host_spill_blocks", "must be non-negative, got %d", k.HostSpillBlocks)
 		}
-		if _, err := kvcache.ParsePolicy(k.policyName()); err != nil {
-			return errAt("fleet.kv_cache.policy", "%v", err)
+		policy, err := kvcache.ParsePolicy(k.policyName())
+		if err != nil {
+			return none, errAt("fleet.kv_cache.policy", "%v", err)
+		}
+		cfg.Base.KVCache = &serve.KVCacheConfig{
+			BlockTokens:     k.BlockTokens,
+			DeviceBlocks:    k.DeviceBlocks,
+			HostSpillBlocks: k.HostSpillBlocks,
+			Policy:          policy,
 		}
 	}
-	return nil
+	return cfg, nil
 }
 
 // policyName is the cache eviction policy with its default applied.
@@ -583,94 +689,117 @@ func (a *AutoscaleSpec) roleName() string {
 	return a.Role
 }
 
-func (a *AutoscaleSpec) validate(disaggregated bool) error {
+// validate checks the autoscale section and lowers it to the controller
+// config plus the pool it scales; a spun-up instance is the fleet's
+// base serving config on the named platform.
+func (a *AutoscaleSpec) validate(disaggregated bool) (*cluster.AutoscaleConfig, cluster.Role, error) {
 	if a.Platform == "" {
-		return errAt("fleet.autoscale.platform", "required")
+		return nil, 0, errAt("fleet.autoscale.platform", "required")
 	}
-	if _, err := hw.ByName(a.Platform); err != nil {
-		return errAt("fleet.autoscale.platform", "%v", err)
+	p, err := hw.ByName(a.Platform)
+	if err != nil {
+		return nil, 0, errAt("fleet.autoscale.platform", "%v", err)
 	}
 	signal, err := cluster.ParseScaleSignal(a.signalName())
 	if err != nil {
-		return errAt("fleet.autoscale.signal", "%v", err)
+		return nil, 0, errAt("fleet.autoscale.signal", "%v", err)
 	}
 	if signal == cluster.SignalTransferQueue && !disaggregated {
-		return errAt("fleet.autoscale.signal", "the transfer-queue signal needs a fleet.disaggregation section")
+		return nil, 0, errAt("fleet.autoscale.signal", "the transfer-queue signal needs a fleet.disaggregation section")
 	}
 	switch {
 	case a.Target <= 0:
-		return errAt("fleet.autoscale.target", "must be positive, got %g", a.Target)
+		err = errAt("fleet.autoscale.target", "must be positive, got %g", a.Target)
 	case signal == cluster.SignalSLOAttainment && a.Target > 1:
-		return errAt("fleet.autoscale.target", "slo-attainment targets are fractions in (0,1], got %g", a.Target)
+		err = errAt("fleet.autoscale.target", "slo-attainment targets are fractions in (0,1], got %g", a.Target)
 	case a.Max <= 0:
-		return errAt("fleet.autoscale.max", "must be positive, got %d", a.Max)
+		err = errAt("fleet.autoscale.max", "must be positive, got %d", a.Max)
 	case a.Min < 0 || a.Min > a.Max:
-		return errAt("fleet.autoscale.min", "must be in [0, max %d], got %d", a.Max, a.Min)
+		err = errAt("fleet.autoscale.min", "must be in [0, max %d], got %d", a.Max, a.Min)
 	case a.IntervalMs < 0:
-		return errAt("fleet.autoscale.interval_ms", "must be non-negative, got %g", a.IntervalMs)
+		err = errAt("fleet.autoscale.interval_ms", "must be non-negative, got %g", a.IntervalMs)
 	case a.CooldownMs < 0:
-		return errAt("fleet.autoscale.cooldown_ms", "must be non-negative, got %g", a.CooldownMs)
+		err = errAt("fleet.autoscale.cooldown_ms", "must be non-negative, got %g", a.CooldownMs)
 	case a.SpinUpDelayMs < 0:
-		return errAt("fleet.autoscale.spin_up_delay_ms", "must be non-negative, got %g", a.SpinUpDelayMs)
+		err = errAt("fleet.autoscale.spin_up_delay_ms", "must be non-negative, got %g", a.SpinUpDelayMs)
 	case a.SLOWindow < 0:
-		return errAt("fleet.autoscale.slo_window", "must be non-negative, got %d", a.SLOWindow)
+		err = errAt("fleet.autoscale.slo_window", "must be non-negative, got %d", a.SLOWindow)
+	case !disaggregated && a.Role != "":
+		err = errAt("fleet.autoscale.role", "scaled-pool roles need a fleet.disaggregation section")
 	}
-	if !disaggregated && a.Role != "" {
-		return errAt("fleet.autoscale.role", "scaled-pool roles need a fleet.disaggregation section")
+	if err != nil {
+		return nil, 0, err
 	}
-	if _, err := cluster.ParseRole(a.roleName()); err != nil {
-		return errAt("fleet.autoscale.role", "%v", err)
+	role, err := cluster.ParseRole(a.roleName())
+	if err != nil {
+		return nil, 0, errAt("fleet.autoscale.role", "%v", err)
 	}
-	return nil
+	return &cluster.AutoscaleConfig{
+		Platform:    p,
+		Signal:      signal,
+		Target:      a.Target,
+		Min:         a.Min,
+		Max:         a.Max,
+		Interval:    sim.Time(a.IntervalMs * 1e6),
+		Cooldown:    sim.Time(a.CooldownMs * 1e6),
+		SpinUpDelay: sim.Time(a.SpinUpDelayMs * 1e6),
+		SLOWindow:   a.SLOWindow,
+	}, role, nil
 }
 
-func (fc *FaultsSpec) validate(disaggregated bool) error {
+// validate checks the faults section and lowers it to the injection
+// plan it describes.
+func (fc *FaultsSpec) validate(disaggregated bool) (*cluster.FaultsConfig, error) {
 	if fc.CrashRatePerSec < 0 {
-		return errAt("fleet.faults.crash_rate_per_sec", "must be non-negative, got %g", fc.CrashRatePerSec)
+		return nil, errAt("fleet.faults.crash_rate_per_sec", "must be non-negative, got %g", fc.CrashRatePerSec)
 	}
 	if len(fc.Schedule) == 0 && fc.CrashRatePerSec == 0 {
-		return errAt("fleet.faults", "needs a schedule or a positive crash_rate_per_sec")
+		return nil, errAt("fleet.faults", "needs a schedule or a positive crash_rate_per_sec")
 	}
+	out := &cluster.FaultsConfig{CrashRatePerSec: fc.CrashRatePerSec, Seed: fc.Seed}
 	for i, ft := range fc.Schedule {
 		path := fmt.Sprintf("fleet.faults.schedule[%d]", i)
 		if ft.AtMs < 0 {
-			return errAt(path+".at_ms", "must be non-negative, got %g", ft.AtMs)
+			return nil, errAt(path+".at_ms", "must be non-negative, got %g", ft.AtMs)
 		}
 		kind, err := cluster.ParseFaultKind(ft.Kind)
 		if err != nil {
-			return errAt(path+".kind", "%v", err)
+			return nil, errAt(path+".kind", "%v", err)
 		}
 		if ft.Instance < 0 {
-			return errAt(path+".instance", "must be non-negative, got %d", ft.Instance)
+			return nil, errAt(path+".instance", "must be non-negative, got %d", ft.Instance)
 		}
 		switch kind {
 		case cluster.FaultCrash:
 			if ft.Factor != 0 || ft.Dst != 0 {
-				return errAt(path+".kind", "crash faults take no factor or dst")
+				return nil, errAt(path+".kind", "crash faults take no factor or dst")
 			}
 		case cluster.FaultSlowNode:
 			if ft.Dst != 0 {
-				return errAt(path+".dst", "slow-node faults take no dst")
+				return nil, errAt(path+".dst", "slow-node faults take no dst")
 			}
 			if ft.Factor < 1 {
-				return errAt(path+".factor", "must be ≥ 1, got %g", ft.Factor)
+				return nil, errAt(path+".factor", "must be ≥ 1, got %g", ft.Factor)
 			}
 		case cluster.FaultLinkDegrade:
 			if !disaggregated {
-				return errAt(path+".kind", "link faults need a fleet.disaggregation section")
+				return nil, errAt(path+".kind", "link faults need a fleet.disaggregation section")
 			}
 			if ft.Dst < 0 {
-				return errAt(path+".dst", "must be non-negative, got %d", ft.Dst)
+				return nil, errAt(path+".dst", "must be non-negative, got %d", ft.Dst)
 			}
 			if ft.Dst == ft.Instance {
-				return errAt(path+".dst", "must differ from instance %d: a prefill-only source never hosts decode work, so a self-link carries no handoff", ft.Instance)
+				return nil, errAt(path+".dst", "must differ from instance %d: a prefill-only source never hosts decode work, so a self-link carries no handoff", ft.Instance)
 			}
 			if ft.Factor < 1 {
-				return errAt(path+".factor", "must be ≥ 1, got %g", ft.Factor)
+				return nil, errAt(path+".factor", "must be ≥ 1, got %g", ft.Factor)
 			}
 		}
+		out.Faults = append(out.Faults, cluster.Fault{
+			At: sim.Time(ft.AtMs * 1e6), Kind: kind, Target: ft.Instance, Dst: ft.Dst, Factor: ft.Factor,
+		})
 	}
-	return nil
+	return out, nil
 }
 
 // prefillRouterName / decodeRouterName apply the per-pool router
