@@ -8,14 +8,16 @@ import (
 	"testing"
 )
 
-// TestFleetReportsBitIdentical pins fleet reports byte for byte. The
-// static goldens were captured before instances could join or leave a
-// running calendar; the chaos goldens (autoscale, scheduled and
+// TestFleetReportsBitIdentical pins fleet and serve reports byte for
+// byte. The static goldens were captured before instances could join or
+// leave a running calendar; the chaos goldens (autoscale, scheduled and
 // seeded-random crashes, slow nodes, degraded links, timeline
 // telemetry, monolithic and disaggregated) were captured before the
-// two fleet simulators were folded into one engine. Any diff here means
-// a refactor leaked into the simulated results: a new JSON field, a
-// changed routing decision, a perturbed event order.
+// two fleet simulators were folded into one engine. The serve goldens
+// cover a single continuous-batching instance and the legacy static
+// event walk. Any diff here means a refactor leaked into the simulated
+// results: a new JSON field, a changed routing decision, a perturbed
+// event order.
 func TestFleetReportsBitIdentical(t *testing.T) {
 	cases := []struct {
 		spec   string
@@ -32,6 +34,11 @@ func TestFleetReportsBitIdentical(t *testing.T) {
 			s.Fleet.Faults.Seed = 1
 		}},
 		{"disagg_chaos.json", "golden_disagg_chaos.json", nil},
+		{"single_node_chat.json", "golden_serve_chat.json", nil},
+		{"single_node_chat.json", "golden_serve_static.json", func(s *Spec) {
+			s.Serve.Policy = "static"
+			s.Workload = &WorkloadSpec{Requests: 60, RatePerSec: 10, Seed: 11}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(strings.TrimPrefix(tc.golden, "golden_"), func(t *testing.T) {
