@@ -507,6 +507,19 @@ func workloadLabel(w *skip.WorkloadSpec) string {
 	}
 }
 
+// printLatency prints a report's latency summary. The legacy serve
+// policies measure TTFT only, so they print without full.
+func printLatency(l skip.Latency, full bool) {
+	fmt.Printf("  TTFT         mean %v  P50 %v  P95 %v  P99 %v  max %v\n",
+		l.MeanTTFT, l.P50TTFT, l.P95TTFT, l.P99TTFT, l.MaxTTFT)
+	if !full {
+		return
+	}
+	fmt.Printf("  TPOT         mean %v  P50 %v  P95 %v\n", l.MeanTPOT, l.P50TPOT, l.P95TPOT)
+	fmt.Printf("  E2E          mean %v  P50 %v  P95 %v  max %v\n",
+		l.MeanE2E, l.P50E2E, l.P95E2E, l.MaxE2E)
+}
+
 func printServeReport(sp *skip.Spec, rep *skip.Report) {
 	stats := rep.Serve
 	policy := "continuous"
@@ -523,13 +536,8 @@ func printServeReport(sp *skip.Spec, rep *skip.Report) {
 	fmt.Printf("%s / %s  policy=%s workload=%s  %d requests\n",
 		platformLabel(sp), sp.Model, policy, workloadLabel(sp.Workload), rep.Offered)
 	fmt.Printf("  mean batch   %.1f over %d iterations\n", stats.MeanBatch, stats.Batches)
-	fmt.Printf("  TTFT         mean %v  P50 %v  P95 %v  P99 %v  max %v\n",
-		stats.MeanTTFT, stats.P50TTFT, stats.P95TTFT, stats.P99TTFT, stats.MaxTTFT)
+	printLatency(stats.Latency, continuous)
 	if continuous {
-		fmt.Printf("  TPOT         mean %v  P50 %v  P95 %v\n",
-			stats.MeanTPOT, stats.P50TPOT, stats.P95TPOT)
-		fmt.Printf("  E2E          mean %v  P50 %v  P95 %v  max %v\n",
-			stats.MeanE2E, stats.P50E2E, stats.P95E2E, stats.MaxE2E)
 		fmt.Printf("  KV cache     peak %.1f%% of %.1f GB budget  (time-weighted mean %.1f%%)\n",
 			stats.PeakKVFrac*100, stats.KVCapacityBytes/1e9, stats.MeanKVFrac*100)
 		printKVCache(stats.KVCache)
@@ -558,11 +566,7 @@ func printClusterReport(sp *skip.Spec, rep *skip.Report) {
 	fmt.Printf("  ledger       %d offered = %d rejected + %d unroutable + %d routed (%d completed, %d abandoned, %d preempted)\n",
 		stats.Offered, stats.Rejected, stats.Unroutable, stats.Routed,
 		stats.Completed, stats.Abandoned, stats.Preemptions)
-	fmt.Printf("  TTFT         mean %v  P50 %v  P95 %v  P99 %v  max %v\n",
-		stats.MeanTTFT, stats.P50TTFT, stats.P95TTFT, stats.P99TTFT, stats.MaxTTFT)
-	fmt.Printf("  TPOT         mean %v  P50 %v  P95 %v\n", stats.MeanTPOT, stats.P50TPOT, stats.P95TPOT)
-	fmt.Printf("  E2E          mean %v  P50 %v  P95 %v  max %v\n",
-		stats.MeanE2E, stats.P50E2E, stats.P95E2E, stats.MaxE2E)
+	printLatency(stats.Latency, true)
 	fmt.Printf("  throughput   %.1f req/s  (%.0f tok/s)", stats.Throughput, stats.TokensPerSec)
 	if sp.Serve != nil && sp.Serve.TTFTSLOMs > 0 {
 		fmt.Printf("  goodput %.1f req/s, %.0f%% in SLO", stats.Goodput, stats.SLOAttainment*100)
@@ -694,11 +698,7 @@ func printDisaggReport(sp *skip.Spec, rep *skip.Report) {
 	fmt.Printf("  KV transfer  %d transfers, %.2f GB moved  wire mean %v max %v  stall mean %v\n",
 		stats.Transfers, stats.KVBytesMoved/1e9,
 		stats.MeanTransfer, stats.MaxTransfer, stats.MeanTransferStall)
-	fmt.Printf("  TTFT         mean %v  P50 %v  P95 %v  P99 %v  max %v\n",
-		stats.MeanTTFT, stats.P50TTFT, stats.P95TTFT, stats.P99TTFT, stats.MaxTTFT)
-	fmt.Printf("  TPOT         mean %v  P50 %v  P95 %v\n", stats.MeanTPOT, stats.P50TPOT, stats.P95TPOT)
-	fmt.Printf("  E2E          mean %v  P50 %v  P95 %v  max %v\n",
-		stats.MeanE2E, stats.P50E2E, stats.P95E2E, stats.MaxE2E)
+	printLatency(stats.Latency, true)
 	fmt.Printf("  throughput   %.1f req/s  (%.0f tok/s)", stats.Throughput, stats.TokensPerSec)
 	if sp.Serve != nil && sp.Serve.TTFTSLOMs > 0 {
 		fmt.Printf("  goodput %.1f req/s, %.0f%% in SLO", stats.Goodput, stats.SLOAttainment*100)

@@ -39,10 +39,8 @@ type Stats struct {
 	Abandoned   int
 	Preemptions int
 
-	// TTFT / TPOT / E2E over the pooled completed requests.
-	MeanTTFT, P50TTFT, P95TTFT, P99TTFT, MaxTTFT sim.Time
-	MeanTPOT, P50TPOT, P95TPOT                   sim.Time
-	MeanE2E, P50E2E, P95E2E, MaxE2E              sim.Time
+	// Latency summarizes the pooled completed requests.
+	serve.Latency
 
 	// Horizon is the last completion across the fleet.
 	Horizon sim.Time
@@ -168,11 +166,9 @@ type DisaggStats struct {
 	MaxTransfer       sim.Time
 	MeanTransferStall sim.Time
 
-	// TTFT / TPOT / E2E over the pooled per-request samples (see the
-	// type comment for which requests contribute to each).
-	MeanTTFT, P50TTFT, P95TTFT, P99TTFT, MaxTTFT sim.Time
-	MeanTPOT, P50TPOT, P95TPOT                   sim.Time
-	MeanE2E, P50E2E, P95E2E, MaxE2E              sim.Time
+	// Latency summarizes the pooled per-request samples (see the type
+	// comment for which requests contribute to each).
+	serve.Latency
 
 	// Horizon is the last completion across the fleet; rates are fleet
 	// totals over it.
@@ -261,16 +257,7 @@ func (f *fleet) stats() *DisaggStats {
 		counts[i] = m.in.Routed() + is.Resumed
 	}
 
-	st.MeanTTFT, st.MaxTTFT = meanMax(ttfts)
-	pt := serve.Percentiles(ttfts, 50, 95, 99)
-	st.P50TTFT, st.P95TTFT, st.P99TTFT = pt[0], pt[1], pt[2]
-	st.MeanTPOT, _ = meanMax(tpots)
-	pp := serve.Percentiles(tpots, 50, 95)
-	st.P50TPOT, st.P95TPOT = pp[0], pp[1]
-	st.MeanE2E, st.MaxE2E = meanMax(e2es)
-	pe := serve.Percentiles(e2es, 50, 95)
-	st.P50E2E, st.P95E2E = pe[0], pe[1]
-
+	st.Latency = serve.Summarize(ttfts, tpots, e2es)
 	if st.Horizon > 0 {
 		sec := st.Horizon.Seconds()
 		st.Throughput = float64(st.Completed) / sec
@@ -306,18 +293,7 @@ func (d *DisaggStats) monolithic() *Stats {
 		Completed:     d.Completed,
 		Abandoned:     d.Abandoned,
 		Preemptions:   d.Preemptions,
-		MeanTTFT:      d.MeanTTFT,
-		P50TTFT:       d.P50TTFT,
-		P95TTFT:       d.P95TTFT,
-		P99TTFT:       d.P99TTFT,
-		MaxTTFT:       d.MaxTTFT,
-		MeanTPOT:      d.MeanTPOT,
-		P50TPOT:       d.P50TPOT,
-		P95TPOT:       d.P95TPOT,
-		MeanE2E:       d.MeanE2E,
-		P50E2E:        d.P50E2E,
-		P95E2E:        d.P95E2E,
-		MaxE2E:        d.MaxE2E,
+		Latency:       d.Latency,
 		Horizon:       d.Horizon,
 		Throughput:    d.Throughput,
 		TokensPerSec:  d.TokensPerSec,
@@ -385,22 +361,6 @@ func (st *DisaggStats) reconcile() error {
 		}
 	}
 	return nil
-}
-
-// meanMax returns the mean and maximum of a latency sample set (0, 0
-// when empty).
-func meanMax(ts []sim.Time) (mean, max sim.Time) {
-	if len(ts) == 0 {
-		return 0, 0
-	}
-	var sum sim.Time
-	for _, t := range ts {
-		sum += t
-		if t > max {
-			max = t
-		}
-	}
-	return sum / sim.Time(len(ts)), max
 }
 
 // imbalanceCV is the coefficient of variation (stddev/mean) of

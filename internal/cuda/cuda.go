@@ -201,15 +201,6 @@ type graphNode struct {
 // Len reports the number of captured kernels.
 func (g *Graph) Len() int { return len(g.nodes) }
 
-// KernelNames lists captured kernel names in order.
-func (g *Graph) KernelNames() []string {
-	names := make([]string, len(g.nodes))
-	for i, n := range g.nodes {
-		names[i] = n.name
-	}
-	return names
-}
-
 // BeginCapture starts recording launches into a graph. Launches issued
 // until EndCapture are captured, not executed.
 func (rt *Runtime) BeginCapture() error {

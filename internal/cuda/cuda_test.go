@@ -151,9 +151,6 @@ func TestGraphCaptureAndReplay(t *testing.T) {
 	if g.Len() != 5 {
 		t.Fatalf("captured %d kernels, want 5", g.Len())
 	}
-	if names := g.KernelNames(); len(names) != 5 || names[0] != "k" {
-		t.Errorf("KernelNames = %v", names)
-	}
 	// Capture must not have executed anything.
 	if rt.Launches() != 0 || rt.CPU.Now() != 0 {
 		t.Errorf("capture executed: launches=%d cpu=%v", rt.Launches(), rt.CPU.Now())

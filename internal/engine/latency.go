@@ -194,11 +194,6 @@ func (t *oracleTables) lookup(table map[stepKey]sim.Time, key stepKey, compute f
 	return v, nil
 }
 
-// request is the engine request for one oracle key.
-func (k *oracleKey) request(key stepKey) Request {
-	return Request{Platform: &k.platform, Model: &k.model, Batch: key.batch, Seq: key.tokens, Mode: k.mode}
-}
-
 // prefillLatency executes one prefill iteration without a trace.
 func (k *oracleKey) prefillLatency(key stepKey) (sim.Time, error) {
 	g, err := models.BuildPrefill(&k.model, key.batch, key.tokens, attention(k.mode))

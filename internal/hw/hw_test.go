@@ -161,14 +161,11 @@ func TestKernelCostArithmetic(t *testing.T) {
 
 func TestLaunchSplit(t *testing.T) {
 	p := IntelH100()
-	total := p.LaunchCPUTime() + p.LaunchPropagation()
-	want := sim.FromNs(p.LaunchOverheadNs)
-	// Rounding may cost at most 1ns.
-	if diff := total - want; diff < -1 || diff > 1 {
-		t.Errorf("launch split sums to %v, want %v", total, want)
-	}
-	if p.LaunchCPUTime() <= 0 || p.LaunchPropagation() <= 0 {
-		t.Error("both launch components must be positive")
+	// The host holds the launch call for part of the launch overhead;
+	// the rest propagates after the CPU is released.
+	cpu, whole := p.LaunchCPUTime(), sim.FromNs(p.LaunchOverheadNs)
+	if cpu <= 0 || cpu >= whole {
+		t.Errorf("launch CPU time %v must be positive and below the launch overhead %v", cpu, whole)
 	}
 }
 

@@ -211,11 +211,6 @@ func Copy(aten, label string, elems int64) *Node {
 	}
 }
 
-// View builds a metadata-only op: host cost, no kernel.
-func View(aten string) *Node {
-	return &Node{Name: "aten::" + aten, CPUNs: CPUView}
-}
-
 // Embedding builds aten::embedding: an index gather of (rows × hidden)
 // from a (vocab × hidden) table.
 func Embedding(label string, rows, hidden int64) *Node {

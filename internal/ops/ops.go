@@ -173,15 +173,6 @@ func (g *Graph) KernelCount() int {
 	return total
 }
 
-// NodeCount sums operator nodes over all parents.
-func (g *Graph) NodeCount() int {
-	total := 0
-	for _, n := range g.Nodes {
-		total += n.CountNodes()
-	}
-	return total
-}
-
 // FlattenKernels returns the graph's full kernel sequence.
 func (g *Graph) FlattenKernels() []Kernel {
 	var out []Kernel

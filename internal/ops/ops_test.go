@@ -116,16 +116,6 @@ func TestFlashAttentionReducesTraffic(t *testing.T) {
 	}
 }
 
-func TestViewHasNoKernel(t *testing.T) {
-	v := View("view")
-	if v.CountKernels() != 0 {
-		t.Error("view must not launch kernels")
-	}
-	if v.CPUNs <= 0 {
-		t.Error("view still costs host time")
-	}
-}
-
 func TestEmbeddingGather(t *testing.T) {
 	e := Embedding("wte", 512, 768)
 	k := e.FlattenKernels()[0]
@@ -149,9 +139,6 @@ func TestGraphAccounting(t *testing.T) {
 	g.Nodes = append(g.Nodes, Linear("a", 1, 128, 64, 64), Pointwise("add", "res", 128*64, 2, 1))
 	if g.KernelCount() != 2 {
 		t.Errorf("KernelCount = %d", g.KernelCount())
-	}
-	if g.NodeCount() != 4 {
-		t.Errorf("NodeCount = %d", g.NodeCount())
 	}
 	if got := len(g.FlattenKernels()); got != 2 {
 		t.Errorf("FlattenKernels = %d", got)
@@ -290,17 +277,5 @@ func TestFuseElementwiseProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	before := []Kernel{elemK("a", 100), elemK("b", 100)}
-	after := FuseElementwise(before, 2)
-	s := Summarize(before, after)
-	if s.KernelsBefore != 2 || s.KernelsAfter != 1 {
-		t.Errorf("Summarize kernels = %+v", s)
-	}
-	if s.BytesAfter >= s.BytesBefore {
-		t.Errorf("Summarize bytes = %+v", s)
 	}
 }

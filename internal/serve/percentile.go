@@ -10,23 +10,15 @@ import (
 // Percentile returns the nearest-rank p-th percentile of the samples
 // (p in (0,100]): the smallest value such that at least p% of samples
 // are ≤ it. The input need not be sorted; a zero-length input returns 0.
-// Both the legacy prefill-only stats and the continuous-batching stats
-// report percentiles through this one definition, so policies are
-// comparable rank-for-rank.
+// Summarize uses the same definition for every instance and fleet
+// report, so policies and fleet shapes are comparable rank-for-rank.
 func Percentile(samples []sim.Time, p float64) sim.Time {
-	if len(samples) == 0 {
-		return 0
-	}
-	sorted := make([]sim.Time, len(samples))
-	copy(sorted, samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return percentileSorted(sorted, p)
+	return Percentiles(samples, p)[0]
 }
 
 // Percentiles returns the nearest-rank percentiles for every p in ps
-// with a single copy-and-sort of the samples — the stats assemblers
-// ask for three or more percentiles of the same pooled sample set, and
-// one sort serves them all. A zero-length input returns all zeros.
+// with a single copy-and-sort of the samples. A zero-length input
+// returns all zeros.
 func Percentiles(samples []sim.Time, ps ...float64) []sim.Time {
 	out := make([]sim.Time, len(ps))
 	if len(samples) == 0 {
@@ -39,6 +31,65 @@ func Percentiles(samples []sim.Time, ps ...float64) []sim.Time {
 		out[i] = percentileSorted(sorted, p)
 	}
 	return out
+}
+
+// Latency is the TTFT/TPOT/E2E summary of a set of served requests.
+// One instance's Stats and both fleet reports embed it, so the block is
+// declared and computed once (Summarize) and serializes flat, in this
+// field order, inside each report.
+type Latency struct {
+	// TTFT: arrival → first output token.
+	MeanTTFT sim.Time
+	P50TTFT  sim.Time
+	P95TTFT  sim.Time
+	P99TTFT  sim.Time
+	MaxTTFT  sim.Time
+
+	// TPOT: mean inter-token time per request, aggregated (zero when no
+	// request decodes more than one token).
+	MeanTPOT sim.Time
+	P50TPOT  sim.Time
+	P95TPOT  sim.Time
+
+	// E2E: arrival → final token.
+	MeanE2E sim.Time
+	P50E2E  sim.Time
+	P95E2E  sim.Time
+	MaxE2E  sim.Time
+}
+
+// Summarize computes the latency summary of per-request TTFT, TPOT and
+// E2E samples. It sorts each slice in place. Means and maxima are
+// exact, percentiles are nearest-rank (see Percentile), and an empty
+// set summarizes to zeros.
+func Summarize(ttfts, tpots, e2es []sim.Time) Latency {
+	for _, ts := range [][]sim.Time{ttfts, tpots, e2es} {
+		sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+	}
+	mean := func(ts []sim.Time) sim.Time {
+		if len(ts) == 0 {
+			return 0
+		}
+		var sum sim.Time
+		for _, t := range ts {
+			sum += t
+		}
+		return sum / sim.Time(len(ts))
+	}
+	return Latency{
+		MeanTTFT: mean(ttfts),
+		P50TTFT:  percentileSorted(ttfts, 50),
+		P95TTFT:  percentileSorted(ttfts, 95),
+		P99TTFT:  percentileSorted(ttfts, 99),
+		MaxTTFT:  percentileSorted(ttfts, 100),
+		MeanTPOT: mean(tpots),
+		P50TPOT:  percentileSorted(tpots, 50),
+		P95TPOT:  percentileSorted(tpots, 95),
+		MeanE2E:  mean(e2es),
+		P50E2E:   percentileSorted(e2es, 50),
+		P95E2E:   percentileSorted(e2es, 95),
+		MaxE2E:   percentileSorted(e2es, 100),
+	}
 }
 
 // percentileSorted is the nearest-rank lookup on an already-sorted
@@ -56,18 +107,6 @@ func percentileSorted(sorted []sim.Time, p float64) sim.Time {
 		rank = n
 	}
 	return sorted[rank-1]
-}
-
-// meanTime averages a sample slice (0 for empty input).
-func meanTime(samples []sim.Time) sim.Time {
-	if len(samples) == 0 {
-		return 0
-	}
-	var sum sim.Time
-	for _, s := range samples {
-		sum += s
-	}
-	return sum / sim.Time(len(samples))
 }
 
 // SLOGoodput computes the SLO block shared by the serving and cluster
@@ -95,15 +134,4 @@ func SLOGoodput(ttfts []sim.Time, slo, horizon sim.Time, throughput float64) (at
 		goodput = float64(met) / horizon.Seconds()
 	}
 	return attainment, goodput
-}
-
-// maxTimeOf returns the largest sample (0 for empty input).
-func maxTimeOf(samples []sim.Time) sim.Time {
-	var m sim.Time
-	for _, s := range samples {
-		if s > m {
-			m = s
-		}
-	}
-	return m
 }

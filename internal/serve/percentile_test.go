@@ -75,3 +75,22 @@ func TestPercentileUnsortedInput(t *testing.T) {
 		t.Error("Percentile mutated its input")
 	}
 }
+
+func TestSummarizeLatency(t *testing.T) {
+	ttfts := []sim.Time{40, 10, 30, 20}
+	e2es := []sim.Time{7}
+	got := Summarize(ttfts, nil, e2es)
+	want := Latency{
+		MeanTTFT: 25, P50TTFT: 20, P95TTFT: 40, P99TTFT: 40, MaxTTFT: 40,
+		MeanE2E: 7, P50E2E: 7, P95E2E: 7, MaxE2E: 7,
+	}
+	if got != want {
+		t.Errorf("Summarize = %+v, want %+v", got, want)
+	}
+	if ttfts[0] != 10 || ttfts[3] != 40 {
+		t.Errorf("samples not sorted in place: %v", ttfts)
+	}
+	if got := Summarize(nil, nil, nil); got != (Latency{}) {
+		t.Errorf("empty Summarize = %+v, want zeros", got)
+	}
+}

@@ -309,8 +309,8 @@ type SamplePoint struct {
 }
 
 // Stats summarizes a serving simulation. The legacy prefill-only
-// policies populate the TTFT block only; the continuous policies fill
-// every field.
+// policies fill only the TTFT fields of Latency; the continuous
+// policies fill every field.
 type Stats struct {
 	Requests int
 	// Completed counts requests that finished generation (== Requests
@@ -333,24 +333,8 @@ type Stats struct {
 	Preemptions int
 	Horizon     sim.Time // last completion time
 
-	// TTFT: arrival → first output token.
-	MeanTTFT sim.Time
-	P50TTFT  sim.Time
-	P95TTFT  sim.Time
-	P99TTFT  sim.Time
-	MaxTTFT  sim.Time
-
-	// TPOT: mean inter-token time per request, aggregated (continuous
-	// policies only; zero when no request decodes more than one token).
-	MeanTPOT sim.Time
-	P50TPOT  sim.Time
-	P95TPOT  sim.Time
-
-	// E2E: arrival → final token (continuous policies only).
-	MeanE2E sim.Time
-	P50E2E  sim.Time
-	P95E2E  sim.Time
-	MaxE2E  sim.Time
+	// Latency summarizes the completed requests.
+	Latency
 
 	Throughput float64 // completed requests per second over the horizon
 	// TokensOut counts generated tokens delivered to users (continuous
@@ -480,13 +464,8 @@ func Simulate(cfg Config, requests []Request) (*Stats, error) {
 		stats.Batches++
 	}
 
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	stats.Completed = stats.Requests
-	stats.MeanTTFT = meanTime(latencies)
-	stats.P50TTFT = percentileSorted(latencies, 50)
-	stats.P95TTFT = percentileSorted(latencies, 95)
-	stats.P99TTFT = percentileSorted(latencies, 99)
-	stats.MaxTTFT = latencies[len(latencies)-1]
+	stats.Latency = Summarize(latencies, nil, nil)
 	stats.Horizon = deviceFree
 	stats.Throughput = float64(stats.Requests) / stats.Horizon.Seconds()
 	stats.SLOAttainment, stats.Goodput = SLOGoodput(latencies, cfg.TTFTSLO, stats.Horizon, stats.Throughput)

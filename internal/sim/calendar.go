@@ -101,15 +101,3 @@ func (c *Calendar) Run() Time {
 	}
 	return c.now
 }
-
-// RunUntil fires events with At <= deadline, returning the final time.
-// Pending later events remain queued.
-func (c *Calendar) RunUntil(deadline Time) Time {
-	for len(c.heap) > 0 && c.heap[0].At <= deadline {
-		c.Step()
-	}
-	if c.now < deadline {
-		c.now = deadline
-	}
-	return c.now
-}

@@ -100,6 +100,3 @@ func (c *Clock) AdvanceTo(t Time) Time {
 	}
 	return c.now
 }
-
-// Reset rewinds the clock to the given time, for reuse across runs.
-func (c *Clock) Reset(t Time) { c.now = t }

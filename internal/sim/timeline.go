@@ -8,7 +8,6 @@ package sim
 type Timeline struct {
 	free Time // the earliest instant at which the resource is idle
 	busy Time // total occupied time, for utilization accounting
-	last Time // end of the most recent grant
 }
 
 // NewTimeline returns a timeline that is free from t onwards.
@@ -19,9 +18,6 @@ func (tl *Timeline) FreeAt() Time { return tl.free }
 
 // BusyTime reports the cumulative time the resource has been occupied.
 func (tl *Timeline) BusyTime() Time { return tl.busy }
-
-// LastEnd reports the end time of the most recent grant (zero if none).
-func (tl *Timeline) LastEnd() Time { return tl.last }
 
 // Acquire grants the resource for duration d, starting no earlier than
 // earliest. It returns the actual [start, end) of the grant and moves the
@@ -35,13 +31,5 @@ func (tl *Timeline) Acquire(earliest, d Time) (start, end Time) {
 	end = start + d
 	tl.free = end
 	tl.busy += d
-	tl.last = end
 	return start, end
-}
-
-// Reset rewinds the timeline for reuse across simulation runs.
-func (tl *Timeline) Reset(t Time) {
-	tl.free = t
-	tl.busy = 0
-	tl.last = 0
 }

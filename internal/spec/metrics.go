@@ -44,7 +44,10 @@ func metricRoots(k Kind) []string {
 }
 
 // metricField finds the struct field a path segment names: the json tag
-// key where one exists, the exact Go field name otherwise.
+// key where one exists, the exact Go field name otherwise. An untagged
+// embedded struct is searched in place, as encoding/json flattens it
+// (serve.Latency's fields are addressed as serve.P95TTFT), and its own
+// type name is never a segment.
 func metricField(t reflect.Type, name string) (reflect.StructField, bool) {
 	for i := 0; i < t.NumField(); i++ {
 		sf := t.Field(i)
@@ -52,6 +55,13 @@ func metricField(t reflect.Type, name string) (reflect.StructField, bool) {
 			continue // unexported
 		}
 		tag, _, _ := strings.Cut(sf.Tag.Get("json"), ",")
+		if sf.Anonymous && tag == "" && sf.Type.Kind() == reflect.Struct {
+			if inner, ok := metricField(sf.Type, name); ok {
+				inner.Index = append([]int{i}, inner.Index...)
+				return inner, true
+			}
+			continue
+		}
 		if tag == name || (tag == "" && sf.Name == name) {
 			return sf, true
 		}

@@ -80,6 +80,37 @@ func TestMetricsIndexedPath(t *testing.T) {
 	}
 }
 
+// TestMetricsEmbeddedLatencyPaths: the fleet reports embed
+// serve.Latency, and its fields are addressed as if declared on the
+// report itself, at the top level and per instance.
+func TestMetricsEmbeddedLatencyPaths(t *testing.T) {
+	s := testFleetSpec()
+	s.Report = &ReportSpec{Metrics: []MetricSpec{{Path: "cluster.P99TTFT"}}}
+	rep, err := Simulate(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rep.Metrics[0].Values[0], float64(rep.Cluster.P99TTFT); got != want || want == 0 {
+		t.Errorf("cluster.P99TTFT = %v, want %v (non-zero)", got, want)
+	}
+
+	s = testDisaggSpec()
+	s.Report = &ReportSpec{Metrics: []MetricSpec{
+		{Path: "disagg.P95E2E"},
+		{Path: "disagg.Instances[0].Serve.MaxE2E"},
+	}}
+	rep, err = Simulate(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rep.Metrics[0].Values[0], float64(rep.Disagg.P95E2E); got != want || want == 0 {
+		t.Errorf("disagg.P95E2E = %v, want %v (non-zero)", got, want)
+	}
+	if got, want := rep.Metrics[1].Values[0], float64(rep.Disagg.Instances[0].Serve.MaxE2E); got != want {
+		t.Errorf("disagg.Instances[0].Serve.MaxE2E = %v, want %v", got, want)
+	}
+}
+
 func TestMetricsAbsentSectionFailsAtExtraction(t *testing.T) {
 	// Chaos.Killed type-checks against the report shape, but a static
 	// fleet's report has no chaos ledger.
@@ -110,6 +141,13 @@ func TestMetricsValidationErrors(t *testing.T) {
 		}, "no section"},
 		{"unknown field", func(s *Spec) {
 			s.Report = &ReportSpec{Metrics: []MetricSpec{{Path: "serve.Nope"}}}
+		}, "no field"},
+		// The embedded summary's type name is not a JSON key.
+		{"embedded type name", func(s *Spec) {
+			s.Report = &ReportSpec{Metrics: []MetricSpec{{Path: "serve.Latency"}}}
+		}, "no field"},
+		{"embedded type name as a section", func(s *Spec) {
+			s.Report = &ReportSpec{Metrics: []MetricSpec{{Path: "serve.Latency.P95TTFT"}}}
 		}, "no field"},
 		{"non-numeric leaf", func(s *Spec) {
 			s.Report = &ReportSpec{Metrics: []MetricSpec{{Path: "serve"}}}

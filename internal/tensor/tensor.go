@@ -102,12 +102,6 @@ func MatmulFLOPs(batch, m, k, n int64) float64 {
 	return 2 * float64(batch) * float64(m) * float64(k) * float64(n)
 }
 
-// AttentionScoreFLOPs returns FLOPs for Q·Kᵀ over batch·heads matrices of
-// (seq×headDim)·(headDim×seq).
-func AttentionScoreFLOPs(batch, heads, seq, headDim int64) float64 {
-	return MatmulFLOPs(batch*heads, seq, headDim, seq)
-}
-
 // ElementwiseFLOPs approximates FLOPs of a pointwise op as opsPerElem per
 // element.
 func ElementwiseFLOPs(elems int64, opsPerElem float64) float64 {

@@ -66,15 +66,6 @@ func TestMatmulFLOPs(t *testing.T) {
 	}
 }
 
-func TestAttentionScoreFLOPs(t *testing.T) {
-	// batch=2, heads=12, seq=512, headDim=64:
-	// 2 * (2*12) * 512 * 64 * 512
-	want := 2.0 * 24 * 512 * 64 * 512
-	if got := AttentionScoreFLOPs(2, 12, 512, 64); got != want {
-		t.Errorf("AttentionScoreFLOPs = %v, want %v", got, want)
-	}
-}
-
 func TestElementwiseFLOPs(t *testing.T) {
 	if got := ElementwiseFLOPs(100, 2.5); got != 250 {
 		t.Errorf("ElementwiseFLOPs = %v, want 250", got)

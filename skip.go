@@ -260,6 +260,9 @@ type (
 	// ServeStats summarizes request latencies, throughput, goodput, and
 	// KV-cache occupancy.
 	ServeStats = serve.Stats
+	// Latency is the TTFT/TPOT/E2E summary that serve, cluster and
+	// disaggregated reports all embed.
+	Latency = serve.Latency
 	// ServeRequest is one arriving inference request (with per-request
 	// prompt and output lengths).
 	ServeRequest = serve.Request
@@ -504,8 +507,8 @@ func WithProgressEvery(n int) SimOption { return spec.WithProgressEvery(n) }
 func WithSweepWorkers(n int) SimOption { return spec.WithSweepWorkers(n) }
 
 // Percentiles computes nearest-rank percentiles over a latency sample
-// set with a single sort (zeros for an empty set) — the bulk form of
-// per-request statistics assembly.
+// set with a single sort (zeros for an empty set), by the definition
+// every report's Latency summary uses.
 func Percentiles(samples []sim.Time, ps ...float64) []sim.Time {
 	return serve.Percentiles(samples, ps...)
 }
